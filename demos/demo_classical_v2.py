@@ -6,7 +6,7 @@ polynomial skein recursion.
 """
 
 from haefliger import conway_a2_oracle, descending_set, parse_gauss_code, v2
-from haefliger.classical import conway_polynomial, mirror, x_pairing
+from haefliger.classical import conway_polynomial, switch, x_pairing
 
 CODES = {
     "unknot with a kink": "O1+U1+",
@@ -31,4 +31,5 @@ g = parse_gauss_code(CODES["trefoil"])
 print("X-pairing of the diagram:          ", x_pairing(g))
 print("descending set from the basepoint: ", sorted(descending_set(g)))
 print("v2 = (pairing difference) / 4 =    ", v2(g))
-print("mirror image has the same v2:      ", v2(mirror(g)))
+mirrored = switch(g, {a.label for a in g.arrows})  # every crossing changed
+print("mirror image has the same v2:      ", v2(mirrored))

@@ -58,5 +58,5 @@ meridian = circle((2, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.1)
 far = circle((8, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.2)
 print("lk(meridian, base):", linking_number_pl(meridian, base))
 print("lk(far, base):     ", linking_number_pl(far, base))
-joined = connected_sum_pl(meridian, far, band=(6, 12), avoid=[base])
+joined = connected_sum_pl(meridian, far, band=(6, 18), avoid=[base])
 print("lk(sum, base):     ", linking_number_pl(joined, base))

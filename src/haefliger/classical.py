@@ -152,14 +152,6 @@ def rotate_basepoint(diagram: GaussDiagramK, shift: int) -> GaussDiagramK:
     return GaussDiagramK(tuple(sorted(arrows, key=Arrow.first)))
 
 
-def mirror(diagram: GaussDiagramK) -> GaussDiagramK:
-    """Mirror image: every crossing switched (over/under and sign flip)."""
-    arrows = tuple(
-        Arrow(a.label, a.under, a.over, -a.sign) for a in diagram.arrows
-    )
-    return GaussDiagramK(tuple(sorted(arrows, key=Arrow.first)))
-
-
 def v2(diagram: GaussDiagramK) -> int:
     """Order-2 invariant via the descending-diagram pairing difference."""
     descended = switch(diagram, descending_set(diagram))

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from . import calculus, classical, diagram, generator, linking
 from .errors import (
@@ -90,8 +91,8 @@ def _axis(arg: str | None) -> linking.ProjectionAxis:
         return linking.EZ
     try:
         parts = [float(x) for x in arg.split(",")]
-        if len(parts) != 3:
-            raise ValueError("need three components")
+        if len(parts) != 3 or not all(map(isfinite, parts)):
+            raise ValueError("need three finite components")
     except ValueError as exc:
         raise ParseError(f"bad axis {arg!r}: {exc}") from exc
     return linking.ProjectionAxis(tuple(parts))

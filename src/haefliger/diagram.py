@@ -169,28 +169,44 @@ def diagram_to_dict(d: CrossingDiagram) -> dict:
     return {"k": d.k, "m": d.m, "lk": lk, "writhe": writhe}
 
 
+def _non_integer(where: str, row: dict, keys: tuple[str, ...]) -> ParseError:
+    key = next(key for key in keys if type(row[key]) is not int)
+    return ParseError(f"{where}: {key} must be an integer, got {row[key]!r}")
+
+
 def diagram_from_dict(data: dict) -> CrossingDiagram:
+    """Diagram from the JSON document above; every field must be an int.
+
+    Types are compared exactly, so floats, strings and bool (an int
+    subclass) raise ParseError naming the entry and field.
+    """
     try:
-        k = int(data["k"])
-        m = int(data["m"])
+        k, m = data["k"], data["m"]
+        if {type(k), type(m)} != {int}:
+            raise _non_integer("diagram", data, ("k", "m"))
         entries = []
         seen: set[PairKey] = set()
-        for row in data.get("lk", []):
-            a = LiftId(int(row["i"]), int(row["ei"]))
-            b = LiftId(int(row["j"]), int(row["ej"]))
+        for pos, row in enumerate(data.get("lk", [])):
+            i, ei, j, ej, value = row["i"], row["ei"], row["j"], row["ej"], row["value"]
+            if {type(i), type(ei), type(j), type(ej), type(value)} != {int}:
+                raise _non_integer(f"lk[{pos}]", row, ("i", "ei", "j", "ej", "value"))
+            a, b = LiftId(i, ei), LiftId(j, ej)
             key = pair_key(a, b)
             if key in seen:
                 raise ParseError(f"duplicate lk entry for pair {key}")
             seen.add(key)
-            entries.append((a, b, int(row["value"])))
+            entries.append((a, b, value))
         writhes = []
         seen_w: set[LiftId] = set()
-        for row in data.get("writhe", []):
-            lift = LiftId(int(row["i"]), int(row["e"]))
+        for pos, row in enumerate(data.get("writhe", [])):
+            i, e, value = row["i"], row["e"], row["value"]
+            if {type(i), type(e), type(value)} != {int}:
+                raise _non_integer(f"writhe[{pos}]", row, ("i", "e", "value"))
+            lift = LiftId(i, e)
             if lift in seen_w:
                 raise ParseError(f"duplicate writhe entry for {lift}")
             seen_w.add(lift)
-            writhes.append((lift, int(row["value"])))
+            writhes.append((lift, value))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc
     return make_diagram(k, m, entries, writhes)

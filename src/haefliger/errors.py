@@ -31,7 +31,7 @@ class NonGenericProjection(HaefligerError):
 
 
 class CurvesIntersect(HaefligerError):
-    """Two curves (or a curve and itself) come within tolerance in R^3."""
+    """Two curves (or a curve and itself) meet in R^3, decided exactly."""
 
 
 class BandObstructed(HaefligerError):

@@ -19,8 +19,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
-from .errors import InvalidParams, NonGenericProjection
-from .linking import PolyCurve, ProjectionAxis, EZ, linking_number_pl
+from .errors import InvalidParams
+from .linking import PolyCurve, linking_number_pl
 from .calculus import delta_h_reduced
 
 # The six Hopf-linked pairs of double point components, grouped by the
@@ -160,21 +160,6 @@ def generator_double_point_curves(
     return out
 
 
-def _robust_lk(
-    m: PolyCurve, n: PolyCurve, axis: ProjectionAxis = EZ, seed: int = 7
-) -> int:
-    """Linking number with random-axis fallback on degenerate projections."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(8):
-        try:
-            return linking_number_pl(m, n, axis)
-        except NonGenericProjection:
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            axis = ProjectionAxis(tuple(direction))
-    raise NonGenericProjection("no generic axis found after 8 attempts")
-
-
 @dataclass(frozen=True)
 class GeneratorReport:
     """End-to-end verification of the generator's linking data."""
@@ -201,7 +186,7 @@ def verify_generator(
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
             a, b = curves[i], curves[j]
-            value = _robust_lk(a.curve, b.curve)
+            value = linking_number_pl(a.curve, b.curve)
             if value:
                 matrix[(a.lift, b.lift)] = value
 

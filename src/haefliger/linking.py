@@ -9,6 +9,10 @@ test suite:
 * ``gauss_linking_quadrature`` -- midpoint-rule evaluation of the Gauss
   double integral, floating point.
 
+Both first decide exactly, in rational arithmetic, that the two curves
+are disjoint; floats only serve a bounding-box prefilter that picks the
+segment pairs the exact predicates look at.
+
 Crossing sign convention: the sign of a crossing is the orientation of
 the frame (over-strand tangent, under-strand tangent, projection axis),
 fixed so that the standard positively-oriented Hopf link has linking
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,9 +36,7 @@ from .errors import (
 )
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
-
-# Degeneracy tolerance, relative to the bounding-box diagonal.
-DEGENERACY_TOL = 1e-9
+Segment = tuple[Vec3, Vec3]
 
 
 def _to_vec3(point) -> Vec3:
@@ -124,49 +126,38 @@ def _plane_basis(axis: ProjectionAxis) -> tuple[Vec3, Vec3, Vec3]:
     return u, v, w
 
 
-def _bbox_diagonal(curves: Sequence[PolyCurve]) -> float:
-    pts = np.concatenate([c.as_array() for c in curves])
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) or 1.0
+def _sub(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _segment_distance(p0, p1, q0, q1) -> float:
-    """Min distance between 3D segments, sampled; guard only, not exact."""
-    t = np.linspace(0.0, 1.0, 9)
-    a = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    b = q0[None, :] + t[:, None] * (q1 - q0)[None, :]
-    d = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).min())
+def _segments_meet(seg1: Segment, seg2: Segment) -> bool:
+    """Whether two closed 3D segments share a point, decided exactly.
+
+    Both segments must have distinct endpoints.  Skew, crossing,
+    parallel and collinear-overlap configurations are all covered.
+    """
+    p0, p1 = seg1
+    q0, q1 = seg2
+    d1, d2, r = _sub(p1, p0), _sub(q1, q0), _sub(q0, p0)
+    normal = _cross(d1, d2)
+    if normal == (0, 0, 0):
+        if _cross(r, d1) != (0, 0, 0):
+            return False  # parallel, on distinct lines
+        # Collinear: compare the intervals along d1, p spanning [0, |d1|^2].
+        t0, t1 = _dot(r, d1), _dot(_sub(q1, p0), d1)
+        return max(min(t0, t1), 0) <= min(max(t0, t1), _dot(d1, d1))
+    if _dot(r, normal) != 0:
+        return False  # skew
+    # Coplanar lines meeting at p0 + s*d1 = q0 + t*d2, with s and t
+    # scaled by |normal|^2 > 0.
+    scale = _dot(normal, normal)
+    s = _dot(_cross(r, d2), normal)
+    t = _dot(_cross(r, d1), normal)
+    return 0 <= s <= scale and 0 <= t <= scale
 
 
-def _sample_points(curve: PolyCurve, per_seg: int = 5) -> np.ndarray:
-    verts = curve.as_array()
-    nxt = np.roll(verts, -1, axis=0)
-    t = np.arange(per_seg) / per_seg
-    pts = verts[:, None, :] + t[None, :, None] * (nxt - verts)[:, None, :]
-    return pts.reshape(-1, 3)
-
-
-def _check_disjoint(m: PolyCurve, n: PolyCurve, tol: float) -> None:
-    a, b = _sample_points(m), _sample_points(n)
-    d = a[:, None, :] - b[None, :, :]
-    if float(np.sqrt((d * d).sum(axis=2)).min()) < tol:
-        raise CurvesIntersect("curves approach within tolerance; not a valid link")
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """A transverse crossing of two projected segments."""
-
-    sign: int
-    height_gap: Fraction  # over height minus under height, > 0
-
-
-def _segment_crossings(
-    seg1: tuple[Vec3, Vec3],
-    seg2: tuple[Vec3, Vec3],
-    basis: tuple[Vec3, Vec3, Vec3],
-) -> Crossing | None:
-    """Crossing of two projected segments, or None if they miss.
+def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
+    """Sign (+1 or -1) of the crossing of two projected segments, 0 if they miss.
 
     Raises NonGenericProjection on parallel overlaps, endpoint
     touchings, or a segment projecting to a point; raises
@@ -175,8 +166,7 @@ def _segment_crossings(
     u, v, w = basis
     p0, p1 = seg1
     q0, q1 = seg2
-    d1 = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
-    d2 = (q1[0] - q0[0], q1[1] - q0[1], q1[2] - q0[2])
+    d1, d2 = _sub(p1, p0), _sub(q1, q0)
     a1 = (_dot(d1, u), _dot(d1, v))
     a2 = (_dot(d2, u), _dot(d2, v))
     if a1 == (0, 0) or a2 == (0, 0):
@@ -190,69 +180,65 @@ def _segment_crossings(
         # Parallel projections: collinear overlap is degenerate.
         if r[0] * a1[1] == r[1] * a1[0]:
             raise NonGenericProjection("collinear projected segments")
-        return None
+        return 0
     s = Fraction(r[0] * a2[1] - r[1] * a2[0], denom)
     t = Fraction(r[0] * a1[1] - r[1] * a1[0], denom)
     if s <= 0 or s >= 1 or t <= 0 or t >= 1:
         if (0 <= s <= 1 and t in (0, 1)) or (0 <= t <= 1 and s in (0, 1)):
             raise NonGenericProjection("projected crossing at a vertex")
-        return None
+        return 0
     h1 = _dot(p0, w) + s * _dot(d1, w)
     h2 = _dot(q0, w) + t * _dot(d2, w)
     if h1 == h2:
         raise CurvesIntersect("curves meet in R^3 at a projected crossing")
-    if h1 > h2:
-        over, under, gap = a1, a2, h1 - h2
-    else:
-        over, under, gap = a2, a1, h2 - h1
+    over, under = (a1, a2) if h1 > h2 else (a2, a1)
     orient = over[0] * under[1] - over[1] * under[0]
     if orient == 0:
         raise NonGenericProjection("tangential crossing")
-    return Crossing(sign=1 if orient > 0 else -1, height_gap=gap)
+    return 1 if orient > 0 else -1
 
 
-def _projected_boxes(curve: PolyCurve, basis) -> np.ndarray:
-    """Per-segment 2D bounding boxes (xmin, ymin, xmax, ymax) in projection."""
+def _project(points: np.ndarray, basis) -> np.ndarray:
+    """Float coordinates of the points in the (u, v) projection plane."""
     u, v, _ = basis
-    verts = curve.as_array()
-    uu = np.array([float(x) for x in u])
-    vv = np.array([float(x) for x in v])
-    p = np.stack([verts @ uu, verts @ vv], axis=1)
-    q = np.roll(p, -1, axis=0)
-    return np.concatenate([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    return points @ np.array([[float(x) for x in u], [float(x) for x in v]]).T
 
 
-def _candidate_pairs(
-    box1: np.ndarray, box2: np.ndarray, margin: float
-) -> np.ndarray:
-    """Index pairs whose projected boxes overlap (float prefilter).
+def _candidate_pairs(pts1: np.ndarray, pts2: np.ndarray) -> np.ndarray:
+    """Index pairs of segments of two closed polylines whose boxes overlap.
 
-    The margin absorbs float rounding; exact predicates decide the rest.
+    Takes the (n, d) float vertex arrays, in any dimension d.  This is a
+    float prefilter: its margin, relative to the largest coordinate,
+    absorbs conversion and projection rounding, so no pair of exactly
+    meeting segments is dropped; exact predicates decide the rest.
     """
-    overlap = (
-        (box1[:, None, 0] <= box2[None, :, 2] + margin)
-        & (box2[None, :, 0] <= box1[:, None, 2] + margin)
-        & (box1[:, None, 1] <= box2[None, :, 3] + margin)
-        & (box2[None, :, 1] <= box1[:, None, 3] + margin)
-    )
-    return np.argwhere(overlap)
+    margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
+    ends1 = np.stack([pts1, np.roll(pts1, -1, axis=0)])
+    ends2 = np.stack([pts2, np.roll(pts2, -1, axis=0)])
+    lo1, hi1 = ends1.min(axis=0)[:, None], ends1.max(axis=0)[:, None]
+    lo2, hi2 = ends2.min(axis=0)[None], ends2.max(axis=0)[None]
+    return np.argwhere(((lo1 <= hi2 + margin) & (lo2 <= hi1 + margin)).all(axis=2))
+
+
+def _check_disjoint(segs1, segs2, pts1: np.ndarray, pts2: np.ndarray) -> None:
+    """Raise CurvesIntersect unless two closed polylines, given by their
+    segments and float vertices, are disjoint in R^3 (decided exactly)."""
+    for i, j in _candidate_pairs(pts1, pts2):
+        if _segments_meet(segs1[i], segs2[j]):
+            raise CurvesIntersect("curves meet in R^3; not a valid link")
 
 
 def linking_number_pl(
     m: PolyCurve, n: PolyCurve, axis: ProjectionAxis = EZ
 ) -> int:
     """Linking number as half the signed crossing count of the projection."""
-    diag = _bbox_diagonal([m, n])
-    _check_disjoint(m, n, DEGENERACY_TOL * diag)
-    basis = _plane_basis(axis)
+    pts1, pts2 = m.as_array(), n.as_array()
     segs1, segs2 = m.segments(), n.segments()
-    boxes1 = _projected_boxes(m, basis)
-    boxes2 = _projected_boxes(n, basis)
+    _check_disjoint(segs1, segs2, pts1, pts2)
+    basis = _plane_basis(axis)
     total = 0
-    for i, j in _candidate_pairs(boxes1, boxes2, 1e-7 * diag):
-        crossing = _segment_crossings(segs1[i], segs2[j], basis)
-        if crossing is not None:
-            total += crossing.sign
+    for i, j in _candidate_pairs(_project(pts1, basis), _project(pts2, basis)):
+        total += _segment_crossings(segs1[i], segs2[j], basis)
     if total % 2 != 0:
         raise NonGenericProjection("odd signed crossing count")
     return total // 2
@@ -267,40 +253,32 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     basis = _plane_basis(axis)
     segs = curve.segments()
     nseg = len(segs)
-    boxes = _projected_boxes(curve, basis)
-    diag = _bbox_diagonal([curve])
+    pts = _project(curve.as_array(), basis)
     total = 0
-    for i, j in _candidate_pairs(boxes, boxes, 1e-7 * diag):
+    for i, j in _candidate_pairs(pts, pts):
         if j <= i or j == i + 1 or (i == 0 and j == nseg - 1):
             continue  # each unordered pair once; adjacent share a vertex
-        crossing = _segment_crossings(segs[i], segs[j], basis)
-        if crossing is not None:
-            total += crossing.sign
+        total += _segment_crossings(segs[i], segs[j], basis)
     return total
 
 
-def _resample(curve: PolyCurve, subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
+def _resample(verts: np.ndarray, subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and tangent*dl arrays with roughly `subdivisions` samples."""
-    verts = curve.as_array()
-    nseg = len(verts)
-    per_seg = max(1, -(-subdivisions // nseg))
-    mids, tangents = [], []
+    per_seg = max(1, -(-subdivisions // len(verts)))
     t = (np.arange(per_seg) + 0.5) / per_seg
-    for i in range(nseg):
-        a, b = verts[i], verts[(i + 1) % nseg]
-        mids.append(a[None, :] + t[:, None] * (b - a)[None, :])
-        tangents.append(np.repeat((b - a)[None, :] / per_seg, per_seg, axis=0))
-    return np.concatenate(mids), np.concatenate(tangents)
+    step = np.roll(verts, -1, axis=0) - verts
+    mids = verts[:, None, :] + t[None, :, None] * step[:, None, :]
+    return mids.reshape(-1, 3), np.repeat(step / per_seg, per_seg, axis=0)
 
 
 def gauss_linking_quadrature(
     m: PolyCurve, n: PolyCurve, subdivisions: int = 128
 ) -> float:
     """Gauss double integral (1/4pi) oint oint det(t1, t2, r) / |r|^3."""
-    tol = DEGENERACY_TOL * _bbox_diagonal([m, n])
-    _check_disjoint(m, n, tol)
-    x1, t1 = _resample(m, subdivisions)
-    x2, t2 = _resample(n, subdivisions)
+    pts1, pts2 = m.as_array(), n.as_array()
+    _check_disjoint(m.segments(), n.segments(), pts1, pts2)
+    x1, t1 = _resample(pts1, subdivisions)
+    x2, t2 = _resample(pts2, subdivisions)
     r = x1[:, None, :] - x2[None, :, :]
     dist = np.sqrt((r * r).sum(axis=2))
     cross = np.cross(t1[:, None, :], t2[None, :, :])
@@ -320,9 +298,10 @@ def connected_sum_pl(
 
     The band replaces the edge entering vertex ``band[0]`` of ``m1`` and
     the edge entering ``band[1]`` of ``m2`` by two straight connector
-    segments.  If a connector comes near any input curve, or crosses a
-    curve in ``avoid`` in projection, the band is obstructed and the sum
-    would not satisfy the linking-additivity hypothesis.
+    segments.  If a connector meets the other connector or any input
+    curve (decided exactly), or crosses a curve in ``avoid`` in
+    projection, the band is obstructed and the sum would not satisfy the
+    linking-additivity hypothesis.
     """
     i1, i2 = band
     if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
@@ -331,24 +310,22 @@ def connected_sum_pl(
     b = m2.vertices[i2:] + m2.vertices[:i2]
     result = PolyCurve(a + b)
 
-    tol = DEGENERACY_TOL * _bbox_diagonal([m1, m2, *avoid])
     new_segs = [(a[-1], b[0]), (b[-1], a[0])]
-    new_f = [(np.array(p, dtype=float), np.array(q, dtype=float)) for p, q in new_segs]
     for curve in (m1, m2, *avoid):
-        arr = curve.as_array()
-        for i in range(len(arr)):
-            q0, q1 = arr[i], arr[(i + 1) % len(arr)]
-            for p0, p1 in new_f:
+        for seg2 in curve.segments():
+            for seg1 in new_segs:
                 # Segments sharing a band endpoint legitimately touch.
-                if any(np.allclose(p, q) for p in (p0, p1) for q in (q0, q1)):
+                if seg1[0] in seg2 or seg1[1] in seg2:
                     continue
-                if _segment_distance(p0, p1, q0, q1) < tol:
+                if _segments_meet(seg1, seg2):
                     raise BandObstructed("band passes through a curve")
+    if _segments_meet(*new_segs):
+        raise BandObstructed("band connectors meet each other")
     basis = _plane_basis(axis)
     for curve in avoid:
         for seg2 in curve.segments():
             for seg1 in new_segs:
-                if _segment_crossings(seg1, seg2, basis) is not None:
+                if _segment_crossings(seg1, seg2, basis):
                     raise BandObstructed(
                         "band adds projection crossings with a protected curve"
                     )
@@ -383,9 +360,22 @@ def curves_to_dict(curves: Sequence[PolyCurve]) -> dict:
     }
 
 
+def _vertex(point, c: int, v: int) -> tuple:
+    coords = tuple(point)
+    for x in coords:
+        # bool is an int subclass; Fraction would also take strings.
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not isfinite(x):
+            raise ParseError(
+                f"components[{c}][{v}]: coordinate {x!r} is not a finite number"
+            )
+    return coords
+
+
 def curves_from_dict(data: dict) -> list[PolyCurve]:
     try:
-        comps = data["components"]
-        return [PolyCurve([tuple(p) for p in comp]) for comp in comps]
+        return [
+            PolyCurve([_vertex(p, c, v) for v, p in enumerate(comp)])
+            for c, comp in enumerate(data["components"])
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed curve document: {exc}") from exc

@@ -172,3 +172,17 @@ def test_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert cli.run(["v2", "O1+U1-"]) == 12
     capsys.readouterr()
+
+
+def test_lk_rejects_non_finite_coordinates(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"components": [[[0, 0, 0], [1, 0, 0], [0, 1, Infinity]],'
+                    ' [[5, 0, 0], [6, 0, 0], [5, 1, 0]]]}')
+    assert cli.run(["lk", str(path)]) == 2
+    assert "components[0][2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,1"])
+def test_lk_rejects_bad_axis(capsys, tmp_path, axis):
+    assert cli.run(["lk", write_hopf(tmp_path), "--axis", axis]) == 2
+    capsys.readouterr()

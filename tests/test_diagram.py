@@ -132,3 +132,28 @@ def test_from_dict_rejects_garbage():
         diagram_from_dict({"k": 1})
     with pytest.raises(ParseError):
         diagram_from_dict({"k": 1, "m": 2, "lk": [{"i": 1}]})
+
+
+GOOD_LK_ROW = {"i": 1, "ei": 0, "j": 2, "ej": 1, "value": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"k": 1.9, "m": 2}, "diagram: k"),
+        ({"k": True, "m": 2}, "diagram: k"),
+        ({"k": 1, "m": 2.7}, "diagram: m"),
+        ({"k": 1, "m": "2"}, "diagram: m"),
+        ({"k": 1, "m": 2, "lk": [GOOD_LK_ROW, {**GOOD_LK_ROW, "i": 2, "ei": True}]},
+         r"lk\[1\]: ei"),
+        ({"k": 1, "m": 2, "lk": [{**GOOD_LK_ROW, "value": 1.5}]}, r"lk\[0\]: value"),
+        ({"k": 1, "m": 2, "lk": [{**GOOD_LK_ROW, "j": 2.0}]}, r"lk\[0\]: j"),
+        ({"k": 1, "m": 2, "writhe": [{"i": 1, "e": 0, "value": None}]},
+         r"writhe\[0\]: value"),
+        ({"k": 1, "m": 2, "writhe": [{"i": 1, "e": False, "value": 1}]},
+         r"writhe\[0\]: e"),
+    ],
+)
+def test_from_dict_rejects_non_integers(doc, where):
+    with pytest.raises(ParseError, match=where):
+        diagram_from_dict(doc)

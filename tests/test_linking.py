@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from haefliger.linking import (
     EZ,
     PolyCurve,
     ProjectionAxis,
+    _segments_meet,
+    _to_vec3,
     circle,
     connected_sum_pl,
     curves_from_dict,
@@ -32,9 +36,7 @@ def naive_linking_oracle(m, n, axis=EZ):
     total = 0
     for s1 in m.segments():
         for s2 in n.segments():
-            crossing = _segment_crossings(s1, s2, basis)
-            if crossing is not None:
-                total += crossing.sign
+            total += _segment_crossings(s1, s2, basis)
     assert total % 2 == 0
     return total // 2
 
@@ -49,6 +51,44 @@ def robust_axis_lk(m, n, rng):
             d /= np.linalg.norm(d)
             axis = ProjectionAxis(tuple(d))
     raise AssertionError("no generic axis found")
+
+
+SEGMENT_CASES = [
+    # (segment, segment, meet?)
+    (((0, 0, 0), (2, 0, 0)), ((1, -1, 1), (1, 1, 1)), False),  # skew
+    (((0, 0, 0), (2, 0, 0)), ((1, -1, 0), (1, 1, 0)), True),  # crossing
+    (((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (1, 1, 0)), True),  # T at an interior point
+    (((0, 0, 0), (2, 0, 0)), ((2, 0, 0), (3, 1, 0)), True),  # shared endpoint
+    (((0, 0, 0), (2, 0, 0)), ((3, -1, 0), (3, 1, 0)), False),  # coplanar, lines meet outside
+    (((0, 0, 0), (2, 0, 0)), ((0, 1, 0), (2, 1, 0)), False),  # parallel
+    (((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (3, 0, 0)), True),  # collinear overlap
+    (((0, 0, 0), (2, 0, 0)), ((3, 0, 0), (2, 0, 0)), True),  # collinear, touching
+    (((0, 0, 0), (2, 0, 0)), ((5, 0, 0), (3, 0, 0)), False),  # collinear, apart
+    (((0, 0, 0), (2, 0, 0)), ((-1, 0, 0), (3, 0, 0)), True),  # collinear, containing
+    # A rational meeting point no float sample would land on.
+    (((0, 0, 0), (3, 0, 0)), ((Fraction(1, 7), -1, 0), (Fraction(1, 7), 2, 0)), True),
+    (((0, 0, 0), (3, 0, 0)),
+     ((Fraction(1, 7), -1, Fraction(1, 10**30)), (Fraction(1, 7), 2, 0)), False),
+]
+
+
+@pytest.mark.parametrize("seg1, seg2, meet", SEGMENT_CASES)
+def test_segments_meet(seg1, seg2, meet):
+    s1 = tuple(_to_vec3(p) for p in seg1)
+    s2 = tuple(_to_vec3(p) for p in seg2)
+    for a, b in ((s1, s2), (s2, s1), (s1[::-1], s2), (s1, s2[::-1])):
+        assert _segments_meet(a, b) is meet
+
+
+def test_curves_touching_at_one_point_rejected():
+    square = PolyCurve([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)])
+    # A triangle whose vertex rests on the square's edge, standing in the
+    # plane x = 1: the curves share exactly the point (1, 0, 0).
+    tri = PolyCurve([(1, 0, 0), (1, -1, 1), (1, 1, 1)])
+    with pytest.raises(CurvesIntersect):
+        linking_number_pl(square, tri)
+    with pytest.raises(CurvesIntersect):
+        gauss_linking_quadrature(square, tri)
 
 
 def test_polycurve_validation():
@@ -186,10 +226,30 @@ def test_connected_sum_simple_additivity(rng):
     # Band vertices chosen on the sides of the summands facing each
     # other, clear of the base circle's projection.
     joined = connected_sum_pl(
-        meridian, far, band=(6, 12), avoid=[base]
+        meridian, far, band=(6, 18), avoid=[base]
     )
     lk_sum, _ = robust_axis_lk(joined, base, rng)
     assert lk_sum == lk1 + lk2
+
+
+def test_connected_sum_band_through_a_curve_is_obstructed():
+    # All three circles lie in the plane y = 0, and the band's second
+    # connector (far vertex 11 to meridian vertex 6) runs through edge 12
+    # of ``far`` at an exact rational point.
+    base = circle((0, 0, 0), 2.0, (0, 0, 1), n=32)
+    meridian = circle((2, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.1)
+    far = circle((8, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.2)
+    with pytest.raises(BandObstructed):
+        connected_sum_pl(meridian, far, band=(6, 12), avoid=[base])
+
+
+def test_connected_sum_crossed_connectors_are_obstructed():
+    # Two unit squares in the plane z = 0 whose band connectors form an X
+    # at (1.5, 0.5, 0), touching neither square: the sum is not embedded.
+    m1 = PolyCurve([(0, 1, 0), (-1, 1, 0), (-1, 0, 0), (0, 0, 0)])
+    m2 = PolyCurve([(3, 1, 0), (4, 1, 0), (4, 0, 0), (3, 0, 0)])
+    with pytest.raises(BandObstructed):
+        connected_sum_pl(m1, m2, band=(0, 0))
 
 
 def test_connected_sum_random_additivity(rng):
@@ -241,3 +301,10 @@ def test_curves_round_trip():
     assert linking_number_pl(back[0], back[1]) == 1
     with pytest.raises(ParseError):
         curves_from_dict({"nope": []})
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", float("inf"), float("nan")])
+def test_curves_from_dict_rejects_non_numbers(bad):
+    doc = {"components": [[[0, 0, 0], [1, 0, 0], [0, 1, bad]]]}
+    with pytest.raises(ParseError, match=r"components\[0\]\[2\]"):
+        curves_from_dict(doc)
