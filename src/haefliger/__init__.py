@@ -14,7 +14,6 @@ from .diagram import (
     diagram_from_dict,
     diagram_to_dict,
     make_diagram,
-    validate_diagram,
 )
 from .linking import (
     PolyCurve,
@@ -91,7 +90,6 @@ __all__ = [
     "switch",
     "v2",
     "v_alternating",
-    "validate_diagram",
     "verify_generator",
     "writhe_pl",
     "x_pairing",

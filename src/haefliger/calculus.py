@@ -14,9 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
-from .diagram import CrossingDiagram, LiftId, crossing_change, validate_diagram
+from .diagram import CrossingDiagram, LiftId, crossing_change, make_diagram
 from .errors import (
     DuplicateIndex,
+    HaefligerError,
     InconsistentEvent,
     IndexOutOfRange,
 )
@@ -37,9 +38,7 @@ def delta_h_full(d: CrossingDiagram, switched: Iterable[int]) -> Fraction:
     Equals (1/4) (signed pair sum of d minus signed pair sum of the
     switched diagram).
     """
-    d = validate_diagram(d)
-    s = set(switched)
-    changed = crossing_change(d, s)
+    changed = crossing_change(d, switched)
     return Fraction(_signed_pair_sum(d) - _signed_pair_sum(changed), 4)
 
 
@@ -49,11 +48,7 @@ def delta_h_reduced(d: CrossingDiagram, switched: Iterable[int]) -> Fraction:
     Only pairs with exactly one crossing index in the switched set
     contribute, each with weight 1/2.
     """
-    d = validate_diagram(d)
-    s = set(switched)
-    for i in s:
-        if not 1 <= i <= d.m:
-            raise IndexOutOfRange(f"crossing {i} outside 1..{d.m}")
+    s = d.checked_crossings(switched)
     total = 0
     for (a, b), value in d.lk.items():
         if (a.crossing in s) != (b.crossing in s):
@@ -66,7 +61,6 @@ def i_x_dirac(d: CrossingDiagram) -> Fraction:
 
     (1/2) signed pair sum + (1/4) total writhe.
     """
-    d = validate_diagram(d)
     w = sum(d.writhe.values())
     return Fraction(_signed_pair_sum(d), 2) + Fraction(w, 4)
 
@@ -84,9 +78,7 @@ def v_alternating(
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise DuplicateIndex(f"repeated crossing index in {idx}")
-    for i in idx:
-        if not 1 <= i <= d.m:
-            raise IndexOutOfRange(f"crossing {i} outside 1..{d.m}")
+    d.checked_crossings(idx)
     h0 = Fraction(h0)
     total = Fraction(0)
     for r in range(len(idx) + 1):
@@ -101,7 +93,6 @@ def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:
     Independent of which lift supplied ``h_of_f``: replacing (h, d) by
     (h - delta_h(d, S), crossing_change(d, S)) gives the same value.
     """
-    d = validate_diagram(d)
     return Fraction(h_of_f) - Fraction(_signed_pair_sum(d), 4)
 
 
@@ -192,8 +183,6 @@ def murai_ohba_certificate(
     the linking number of the input link.
     """
     n = linking_number_pl(l0, l1, axis)
-    from .diagram import make_diagram  # local import to avoid cycle at import time
-
     d = make_diagram(
         k=1,
         m=2,
@@ -204,7 +193,10 @@ def murai_ohba_certificate(
     )
     switched = {1}
     delta = delta_h_reduced(d, switched)
-    assert delta == n, "certificate diagram must reproduce the linking number"
+    if delta != n:
+        raise HaefligerError(
+            f"certificate diagram gives delta_h {delta}, not the linking number {n}"
+        )
     return d, switched, delta
 
 
@@ -218,7 +210,8 @@ def _jacobian_matrix(k: int) -> list[list[int]]:
     rw = [2 * k - 1, 2 * k, 2 * k, 2 * k - 1, 2 * k - 1, 2 * k + 1, 2 * k - 1, 2 * k - 1]
     cw = [2 * k - 1, 2 * k, 2 * k - 1, 2 * k, 2 * k - 1, 2 * k, 2 * k - 1, 2 * k]
     n = 16 * k - 4
-    assert sum(rw) == sum(cw) == n
+    if sum(rw) != n or sum(cw) != n:
+        raise HaefligerError(f"block widths {rw}, {cw} do not add up to {n}")
     ro = [sum(rw[:i]) for i in range(8)]
     co = [sum(cw[:i]) for i in range(8)]
     mat = [[0] * n for _ in range(n)]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from math import isfinite
 
 from . import calculus, classical, diagram, generator, linking
 from .errors import (
@@ -91,18 +91,38 @@ def _axis(arg: str | None) -> linking.ProjectionAxis:
         return linking.EZ
     try:
         parts = [float(x) for x in arg.split(",")]
-        if len(parts) != 3 or not all(map(isfinite, parts)):
-            raise ValueError("need three finite components")
+        if len(parts) != 3:
+            raise ValueError("need three components")
     except ValueError as exc:
         raise ParseError(f"bad axis {arg!r}: {exc}") from exc
     return linking.ProjectionAxis(tuple(parts))
 
 
+# Numbers in flags are ASCII only: int() and Fraction() alone would also
+# take "1_0" as 10, " 1" as 1 and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+
+
+def _integer(arg: str) -> int:
+    """Type of the integer options; argparse turns the error into exit 2."""
+    if not _INTEGER.fullmatch(arg):
+        raise argparse.ArgumentTypeError(f"not an integer: {arg!r}")
+    return int(arg)
+
+
 def _indices(arg: str) -> list[int]:
-    try:
-        return [int(x) for x in arg.split(",") if x]
-    except ValueError as exc:
-        raise ParseError(f"bad index list {arg!r}") from exc
+    items = [x for x in arg.split(",") if x]
+    if not all(_INTEGER.fullmatch(x) for x in items):
+        raise ParseError(f"bad index list {arg!r}")
+    return [int(x) for x in items]
+
+
+def _fraction(arg: str) -> Fraction:
+    """An integer, p/q (q > 0) or decimal, such as -3, 5/3 or 0.25."""
+    if not _RATIONAL.fullmatch(arg):
+        raise ParseError(f"bad rational {arg!r}")
+    return Fraction(arg)
 
 
 def _two_curves(path: str) -> tuple[linking.PolyCurve, linking.PolyCurve]:
@@ -136,7 +156,8 @@ def _cmd_delta_h(args) -> dict:
     switched = set(_indices(args.switch))
     value = calculus.delta_h_reduced(d, switched)
     full = calculus.delta_h_full(d, switched)
-    assert value == full
+    if value != full:
+        raise HaefligerError(f"delta_h_reduced {value} != delta_h_full {full}")
     return {"delta_h": value}
 
 
@@ -145,7 +166,7 @@ def _cmd_vfinite(args) -> dict:
 
     d = diagram.diagram_from_dict(_load_json(args.diagram))
     indices = _indices(args.indices)
-    h0 = Fraction(args.h0)
+    h0 = _fraction(args.h0)
     result = {"v": calculus.v_alternating(h0, d, indices)}
     if args.verbose:
         for r in range(len(indices) + 1):
@@ -174,7 +195,7 @@ def _cmd_generator(args) -> dict:
     }
     if args.curves:
         params = generator.BorromeanParams(
-            alpha=Fraction(args.alpha), beta=Fraction(args.beta), k=args.k
+            alpha=_fraction(args.alpha), beta=_fraction(args.beta), k=args.k
         )
         labeled = generator.generator_double_point_curves(params, n=args.resolution)
         result["curves"] = linking.curves_to_dict([c.curve for c in labeled])
@@ -229,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves")
     p.add_argument("--axis", help="projection axis as x,y,z (default 0,0,1)")
     p.add_argument(
-        "--quadrature", type=int, default=0, metavar="N",
+        "--quadrature", type=_integer, default=0, metavar="N",
         help="also report the Gauss integral with N subdivisions",
     )
     p.set_defaults(func=_cmd_lk)
@@ -255,24 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("e-jump", help="jump of the immersion invariant at an event")
     p.add_argument("--kind", required=True, choices=(
         "definite_tangency", "indefinite_tangency", "triple_point"))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
-    p.add_argument("--index", type=int, help="index of the quadratic form")
+    p.add_argument("--k", type=_integer, default=1)
+    p.add_argument("--sign", type=_integer, default=1, choices=(1, -1))
+    p.add_argument("--index", type=_integer, help="index of the quadratic form")
     p.add_argument("--joins", action="store_true",
                    help="the deformation joins two components")
-    p.add_argument("--lk00", type=int, default=0)
-    p.add_argument("--lk11", type=int, default=0)
+    p.add_argument("--lk00", type=_integer, default=0)
+    p.add_argument("--lk11", type=_integer, default=0)
     p.add_argument("--pattern", choices=(
         "all_distinct", "i_eq_j", "p_eq_i", "j_eq_p", "all_equal"))
     p.set_defaults(func=_cmd_e_jump)
 
     p = sub.add_parser("generator", help="emit the six-crossing generator data")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_integer, default=1)
     p.add_argument("--curves", action="store_true",
                    help="include the twelve k=1 double point circles")
     p.add_argument("--alpha", default="4")
     p.add_argument("--beta", default="1")
-    p.add_argument("--resolution", type=int, default=64)
+    p.add_argument("--resolution", type=_integer, default=64)
     p.set_defaults(func=_cmd_generator)
 
     p = sub.add_parser("v2", help="classical order-2 invariant of a Gauss code")
@@ -283,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_v2)
 
     p = sub.add_parser("jacobian", help="determinant of the crossing-count Jacobian")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.set_defaults(func=_cmd_jacobian)
 
     p = sub.add_parser("murai-ohba", help="single-crossing unknotting certificate")

@@ -48,12 +48,37 @@ class CrossingDiagram:
     ``lk`` maps canonically ordered unordered pairs of lifts to integer
     linking numbers; missing pairs mean linking number 0 (split
     components).  ``writhe`` maps lifts to integer writhes, default 0.
+
+    Construction checks every invariant, so every instance is valid:
+    k >= 1 and m >= 0, and every lift of every key names a crossing in
+    1..m and a level 0/1 (else :class:`IndexOutOfRange`), and every
+    ``lk`` key is in canonical order (else :class:`AsymmetricEntry`,
+    since one pair could otherwise be stored twice).
     """
 
     k: int
     m: int
     lk: Mapping[PairKey, int] = field(default_factory=dict)
     writhe: Mapping[LiftId, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise IndexOutOfRange(f"dimension parameter k={self.k} must be positive")
+        if self.m < 0:
+            raise IndexOutOfRange(f"crossing count m={self.m} must be non-negative")
+        m = self.m
+        for key in self.lk:
+            (i, e), (j, f) = key
+            # Both lifts in range and lift_lt(a, b), in one test without
+            # calls: every diagram built pays it once per entry.
+            if not (0 < i <= j <= m and e in (0, 1) and f in (0, 1)
+                    and (i < j or e < f)):
+                a, b = key
+                _check_lift(a, m)
+                _check_lift(b, m)
+                raise AsymmetricEntry(f"key {key} not in canonical order")
+        for lift in self.writhe:
+            _check_lift(lift, m)
 
     def lk_value(self, a: LiftId, b: LiftId) -> int:
         return self.lk.get(pair_key(a, b), 0)
@@ -64,6 +89,14 @@ class CrossingDiagram:
     def lifts(self) -> list[LiftId]:
         """All 2m lifts in the canonical order."""
         return [LiftId(i, e) for i in range(1, self.m + 1) for e in (0, 1)]
+
+    def checked_crossings(self, indices: Iterable[int]) -> set[int]:
+        """The given crossing indices as a set; each must lie in 1..m."""
+        s = set(indices)
+        for i in s:
+            if not 1 <= i <= self.m:
+                raise IndexOutOfRange(f"crossing {i} outside 1..{self.m}")
+        return s
 
 
 def _check_lift(lift: LiftId, m: int) -> None:
@@ -79,16 +112,13 @@ def make_diagram(
     lk: Iterable[tuple[LiftId, LiftId, int]] = (),
     writhe: Iterable[tuple[LiftId, int]] = (),
 ) -> CrossingDiagram:
-    """Build and validate a diagram from (lift, lift, value) entries.
+    """Build a diagram from (lift, lift, value) entries in any order.
 
-    Duplicate unordered pairs with conflicting values raise
-    :class:`AsymmetricEntry`; consistent duplicates are collapsed.
-    Zero entries are dropped (missing means 0).
+    Each pair is stored under its canonical key.  Duplicate unordered
+    pairs with conflicting values raise :class:`AsymmetricEntry`;
+    consistent duplicates are collapsed.  Zero entries are dropped
+    (missing means 0).
     """
-    if k < 1:
-        raise IndexOutOfRange(f"dimension parameter k={k} must be positive")
-    if m < 0:
-        raise IndexOutOfRange(f"crossing count m={m} must be non-negative")
     table: dict[PairKey, int] = {}
     for a, b, value in lk:
         key = pair_key(a, b)
@@ -102,30 +132,12 @@ def make_diagram(
         if lift in wr and wr[lift] != value:
             raise AsymmetricEntry(f"conflicting writhes for {lift}")
         wr[lift] = value
-    d = CrossingDiagram(
+    return CrossingDiagram(
         k=k,
         m=m,
         lk={key: v for key, v in table.items() if v != 0},
         writhe={l: v for l, v in wr.items() if v != 0},
     )
-    return validate_diagram(d)
-
-
-def validate_diagram(d: CrossingDiagram) -> CrossingDiagram:
-    """Check all diagram invariants and return the diagram unchanged.
-
-    Idempotent.  Raises :class:`IndexOutOfRange` if any key references a
-    crossing outside 1..m, :class:`AsymmetricEntry` if a key is not in
-    canonical order (which would allow two storages of one pair).
-    """
-    for (a, b) in d.lk:
-        _check_lift(a, d.m)
-        _check_lift(b, d.m)
-        if not lift_lt(a, b):
-            raise AsymmetricEntry(f"key {(a, b)} not in canonical order")
-    for lift in d.writhe:
-        _check_lift(lift, d.m)
-    return d
 
 
 def crossing_change(d: CrossingDiagram, switched: Iterable[int]) -> CrossingDiagram:
@@ -135,18 +147,10 @@ def crossing_change(d: CrossingDiagram, switched: Iterable[int]) -> CrossingDiag
     and writhe keys; values, m and k are unchanged.  Applying the same
     set twice is the identity.
     """
-    s = set(switched)
-    for i in s:
-        if not 1 <= i <= d.m:
-            raise IndexOutOfRange(f"crossing {i} outside 1..{d.m}")
-
-    def flip(lift: LiftId) -> LiftId:
-        if lift.crossing in s:
-            return LiftId(lift.crossing, 1 - lift.level)
-        return lift
-
-    new_lk = {pair_key(flip(a), flip(b)): v for (a, b), v in d.lk.items()}
-    new_writhe = {flip(l): v for l, v in d.writhe.items()}
+    s = d.checked_crossings(switched)
+    flip = {LiftId(i, e): LiftId(i, 1 - e) for i in s for e in (0, 1)}
+    new_lk = {pair_key(flip.get(a, a), flip.get(b, b)): v for (a, b), v in d.lk.items()}
+    new_writhe = {flip.get(l, l): v for l, v in d.writhe.items()}
     return CrossingDiagram(k=d.k, m=d.m, lk=new_lk, writhe=new_writhe)
 
 
@@ -178,35 +182,36 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
     """Diagram from the JSON document above; every field must be an int.
 
     Types are compared exactly, so floats, strings and bool (an int
-    subclass) raise ParseError naming the entry and field.
+    subclass) raise ParseError naming the entry and field.  A pair or
+    lift listed twice raises ParseError; zero values are dropped.
     """
     try:
         k, m = data["k"], data["m"]
         if {type(k), type(m)} != {int}:
             raise _non_integer("diagram", data, ("k", "m"))
-        entries = []
-        seen: set[PairKey] = set()
+        lk: dict[PairKey, int] = {}
         for pos, row in enumerate(data.get("lk", [])):
             i, ei, j, ej, value = row["i"], row["ei"], row["j"], row["ej"], row["value"]
             if {type(i), type(ei), type(j), type(ej), type(value)} != {int}:
                 raise _non_integer(f"lk[{pos}]", row, ("i", "ei", "j", "ej", "value"))
-            a, b = LiftId(i, ei), LiftId(j, ej)
-            key = pair_key(a, b)
-            if key in seen:
+            key = pair_key(LiftId(i, ei), LiftId(j, ej))
+            if key in lk:
                 raise ParseError(f"duplicate lk entry for pair {key}")
-            seen.add(key)
-            entries.append((a, b, value))
-        writhes = []
-        seen_w: set[LiftId] = set()
+            lk[key] = value
+        writhe: dict[LiftId, int] = {}
         for pos, row in enumerate(data.get("writhe", [])):
             i, e, value = row["i"], row["e"], row["value"]
             if {type(i), type(e), type(value)} != {int}:
                 raise _non_integer(f"writhe[{pos}]", row, ("i", "e", "value"))
             lift = LiftId(i, e)
-            if lift in seen_w:
+            if lift in writhe:
                 raise ParseError(f"duplicate writhe entry for {lift}")
-            seen_w.add(lift)
-            writhes.append((lift, value))
+            writhe[lift] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc
-    return make_diagram(k, m, entries, writhes)
+    return CrossingDiagram(
+        k=k,
+        m=m,
+        lk={key: v for key, v in lk.items() if v},
+        writhe={l: v for l, v in writhe.items() if v},
+    )

@@ -174,12 +174,14 @@ class GeneratorReport:
 def verify_generator(
     params: BorromeanParams = DEFAULT_PARAMS, n: int = 64
 ) -> GeneratorReport:
-    """Compute all pairwise linking numbers of the k=1 circles and check them.
+    """Compute all pairwise linking numbers of the k=1 circles and compare.
 
-    Asserts that exactly the six listed pairs have |lk| = 1 (all other
-    pairs vanish), that the matrix matches ``generator_diagram(1)`` up
-    to a global sign, and evaluates the invariant of the generator via
-    the crossing change at the first crossing.
+    ``matches_diagram`` reports whether exactly the six listed pairs have
+    |lk| = 1 (all other pairs vanish) with one common sign, i.e. whether
+    the matrix matches ``generator_diagram(1)`` up to a global sign;
+    nothing is raised on a mismatch.  The report also evaluates the
+    invariant of the generator via the crossing change at the first
+    crossing.
     """
     curves = generator_double_point_curves(params, n)
     matrix: dict[tuple[LiftId, LiftId], int] = {}

@@ -41,7 +41,10 @@ Segment = tuple[Vec3, Vec3]
 
 def _to_vec3(point) -> Vec3:
     x, y, z = point
-    return (Fraction(x), Fraction(y), Fraction(z))
+    try:
+        return (Fraction(x), Fraction(y), Fraction(z))
+    except (ValueError, OverflowError) as exc:  # NaN, an infinity, a bad string
+        raise ParseError(f"bad point {point!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

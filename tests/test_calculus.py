@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from haefliger import calculus
 from haefliger.calculus import (
     HomotopyEvent,
     delta_h_full,
@@ -17,6 +18,7 @@ from haefliger.calculus import (
 from haefliger.diagram import LiftId, crossing_change, make_diagram
 from haefliger.errors import (
     DuplicateIndex,
+    HaefligerError,
     InconsistentEvent,
     IndexOutOfRange,
 )
@@ -237,6 +239,12 @@ def test_murai_ohba_torus_links():
         l0, l1 = torus_link_curves(n)
         _, _, delta = murai_ohba_certificate(l0, l1)
         assert delta == n
+
+
+def test_murai_ohba_certificate_refuses_a_wrong_delta(monkeypatch):
+    monkeypatch.setattr(calculus, "delta_h_reduced", lambda d, s: Fraction(7))
+    with pytest.raises(HaefligerError, match="not the linking number"):
+        murai_ohba_certificate(*hopf_link())
 
 
 def test_jacobian_det():

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from haefliger import cli
+from haefliger import calculus, cli
 from haefliger.diagram import diagram_to_dict
 from haefliger.generator import generator_diagram
 from haefliger.linking import curves_to_dict
@@ -88,6 +89,10 @@ def test_vfinite_command(capsys, tmp_path):
     assert doc["v"] == {"num": 1, "den": 1}
     assert doc["h_S_"] == {"num": 0, "den": 1}
     assert doc["h_S_1"] == {"num": -1, "den": 1}
+    code, out = run_cli(
+        capsys, "--format", "json", "vfinite", path, "--indices", "", "--h0", "-0.25",
+    )
+    assert json.loads(out)["v"] == {"num": -1, "den": 4}
 
 
 def test_e_jump_command(capsys):
@@ -186,3 +191,45 @@ def test_lk_rejects_non_finite_coordinates(capsys, tmp_path):
 def test_lk_rejects_bad_axis(capsys, tmp_path, axis):
     assert cli.run(["lk", write_hopf(tmp_path), "--axis", axis]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-h", "GEN", "--switch", "1_0"],
+        ["delta-h", "GEN", "--switch", "\u0661"],
+        ["vfinite", "GEN", "--indices", "1", "--h0", "abc"],
+        ["vfinite", "GEN", "--indices", "1", "--h0", "1_0"],
+        ["vfinite", "GEN", "--indices", "1", "--h0", "1/0"],
+        ["generator", "--curves", "--resolution", "8", "--alpha", "x"],
+    ],
+    ids=["switch 1_0", "switch arabic-indic 1", "h0 abc", "h0 1_0", "h0 1/0",
+         "alpha x"],
+)
+def test_flags_refuse_malformed_numbers(capsys, tmp_path, argv):
+    path = write_generator_diagram(tmp_path)
+    assert cli.run([path if arg == "GEN" else arg for arg in argv]) == 2
+    assert "bad " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobian", "--k", "0_1"],
+        ["e-jump", "--kind", "triple_point", "--sign", "\u0661"],
+    ],
+    ids=["k 0_1", "sign arabic-indic 1"],
+)
+def test_integer_options_refuse_non_ascii_numbers(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv)
+    assert info.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["delta_h_full", "delta_h_reduced"])
+def test_delta_h_cross_check_failure_exits_15(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.setattr(calculus, name, lambda d, s: Fraction(99))
+    path = write_generator_diagram(tmp_path)
+    assert cli.run(["delta-h", path, "--switch", "1"]) == 15
+    assert "!=" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import pytest
 
 from haefliger.diagram import (
+    CrossingDiagram,
     LiftId,
     crossing_change,
     diagram_from_dict,
@@ -8,7 +9,6 @@ from haefliger.diagram import (
     lift_lt,
     make_diagram,
     pair_key,
-    validate_diagram,
 )
 from haefliger.errors import AsymmetricEntry, IndexOutOfRange, ParseError
 from haefliger.generator import generator_diagram
@@ -62,10 +62,32 @@ def test_out_of_range_entries():
         make_diagram(k=1, m=-1)
 
 
-def test_validate_is_idempotent():
-    d = generator_diagram(1)
-    assert validate_diagram(d) is d
-    assert validate_diagram(validate_diagram(d)) is d
+L = LiftId
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"k": 0, "m": 2}, IndexOutOfRange),
+        ({"k": 1, "m": -1}, IndexOutOfRange),
+        ({"lk": {(L(1, 0), L(3, 0)): 1}}, IndexOutOfRange),
+        ({"lk": {(L(0, 1), L(1, 0)): 1}}, IndexOutOfRange),
+        ({"lk": {(L(1, 0), L(2, 2)): 1}}, IndexOutOfRange),
+        ({"lk": {(L(1, -1), L(2, 0)): 1}}, IndexOutOfRange),
+        ({"lk": {(L(1, 0), L(1, 2)): 1}}, IndexOutOfRange),
+        ({"writhe": {L(3, 0): 1}}, IndexOutOfRange),
+        ({"writhe": {L(2, 2): 1}}, IndexOutOfRange),
+        ({"lk": {(L(2, 0), L(1, 0)): 1}}, AsymmetricEntry),
+        ({"lk": {(L(1, 1), L(1, 0)): 1}}, AsymmetricEntry),
+        ({"lk": {(L(1, 0), L(1, 0)): 1}}, AsymmetricEntry),
+    ],
+    ids=["k=0", "m=-1", "crossing>m", "crossing=0", "level=2", "level=-1",
+         "same crossing level=2", "writhe crossing>m", "writhe level=2",
+         "key reversed", "levels reversed", "identical lifts"],
+)
+def test_construction_checks_every_invariant(fields, error):
+    with pytest.raises(error):
+        CrossingDiagram(**{"k": 1, "m": 2, **fields})
 
 
 def test_crossing_change_identity_and_involution(rng):
@@ -157,3 +179,21 @@ GOOD_LK_ROW = {"i": 1, "ei": 0, "j": 2, "ej": 1, "value": 1}
 def test_from_dict_rejects_non_integers(doc, where):
     with pytest.raises(ParseError, match=where):
         diagram_from_dict(doc)
+
+
+def test_from_dict_drops_zeros_and_rejects_repeats():
+    zero_lk = {**GOOD_LK_ROW, "value": 0}
+    zero_writhe = {"i": 2, "e": 1, "value": 0}
+    doc = {
+        "k": 1,
+        "m": 2,
+        "lk": [zero_lk, {"i": 1, "ei": 0, "j": 1, "ej": 1, "value": 2}],
+        "writhe": [zero_writhe, {"i": 1, "e": 1, "value": -1}],
+    }
+    d = diagram_from_dict(doc)
+    assert d.lk == {(LiftId(1, 0), LiftId(1, 1)): 2}
+    assert d.writhe == {LiftId(1, 1): -1}
+    with pytest.raises(ParseError, match="duplicate lk"):
+        diagram_from_dict({**doc, "lk": [zero_lk, zero_lk]})
+    with pytest.raises(ParseError, match="duplicate writhe"):
+        diagram_from_dict({**doc, "writhe": [zero_writhe, zero_writhe]})

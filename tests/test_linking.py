@@ -106,6 +106,24 @@ def test_projection_axis_must_be_unit():
     ProjectionAxis((0, 1, 0))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProjectionAxis((NAN, 0, 1)),
+        lambda: ProjectionAxis((0, -INF, 1)),
+        lambda: PolyCurve([(INF, 0, 0), (1, 0, 0), (0, 1, 0)]),
+        lambda: PolyCurve([(0, 0, 0), (1, NAN, 0), (0, 1, 0)]),
+    ],
+    ids=["axis nan", "axis -inf", "curve inf", "curve nan"],
+)
+def test_constructors_refuse_non_finite_coordinates(build):
+    with pytest.raises(ParseError, match="bad point"):
+        build()
+
+
 def test_hopf_link_is_plus_one():
     c1, c2 = hopf_link()
     assert linking_number_pl(c1, c2) == 1
