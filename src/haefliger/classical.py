@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     LabelMismatch,
@@ -230,8 +229,12 @@ def _smooth_link(link: LinkCode, label: str) -> LinkCode:
     return rest + (merged,)
 
 
-@lru_cache(maxsize=None)
-def _conway(link: LinkCode, signs: Signs) -> Poly:
+def _conway(
+    link: LinkCode, signs: Signs, memo: dict[tuple[LinkCode, Signs], Poly]
+) -> Poly:
+    key = (link, signs)
+    if key in memo:
+        return memo[key]
     violation = _first_violation(link)
     if violation is None:
         # Descending: an unknot if connected, a split link otherwise.
@@ -243,13 +246,19 @@ def _conway(link: LinkCode, signs: Signs) -> Poly:
     smoothed = _smooth_link(link, label)
     flipped = tuple((l, s if l != label else -s) for l, s in signs)
     kept = tuple((l, s) for l, s in signs if l != label)
-    switched_poly = _conway(switched, flipped)
-    smoothed_poly = _conway(smoothed, kept)
-    return _poly_add(switched_poly, _poly_mul_z(smoothed_poly), scale=sign)
+    switched_poly = _conway(switched, flipped, memo)
+    smoothed_poly = _conway(smoothed, kept, memo)
+    poly = _poly_add(switched_poly, _poly_mul_z(smoothed_poly), scale=sign)
+    memo[key] = poly
+    return poly
 
 
 def conway_polynomial(diagram: GaussDiagramK) -> Poly:
-    """Conway polynomial coefficients of the knot, by skein recursion."""
+    """Conway polynomial coefficients of the knot, by skein recursion.
+
+    Sub-links met twice in one recursion are looked up in a memo that
+    lives for this call only, so nothing stays allocated after it returns.
+    """
     _check_parity(diagram)
     component = tuple(
         (a.label, "O" if p == a.over else "U")
@@ -258,7 +267,7 @@ def conway_polynomial(diagram: GaussDiagramK) -> Poly:
         )
     )
     signs = tuple(sorted((a.label, a.sign) for a in diagram.arrows))
-    return _conway((component,), signs)
+    return _conway((component,), signs, {})
 
 
 def _check_parity(diagram: GaussDiagramK) -> None:

@@ -78,30 +78,37 @@ def emit_report(result: dict, as_json: bool) -> str:
     return "\n".join(lines)
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; ParseError if it cannot be read."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _axis(arg: str | None) -> linking.ProjectionAxis:
     if arg is None:
         return linking.EZ
-    try:
-        parts = [float(x) for x in arg.split(",")]
-        if len(parts) != 3:
-            raise ValueError("need three components")
-    except ValueError as exc:
-        raise ParseError(f"bad axis {arg!r}: {exc}") from exc
-    return linking.ProjectionAxis(tuple(parts))
+    parts = arg.split(",")
+    if len(parts) != 3 or not all(_DECIMAL.fullmatch(x) for x in parts):
+        raise ParseError(f"bad axis {arg!r}: need three ASCII decimal numbers")
+    return linking.ProjectionAxis(tuple(float(x) for x in parts))
 
 
-# Numbers in flags are ASCII only: int() and Fraction() alone would also
-# take "1_0" as 10, " 1" as 1 and non-ASCII digits.
+# Numbers in flags are ASCII only: int(), float() and Fraction() alone
+# would also take "1_0" as 10, " 1" as 1 and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _integer(arg: str) -> int:
@@ -207,10 +214,7 @@ def _cmd_generator(args) -> dict:
 
 
 def _cmd_v2(args) -> dict:
-    code = args.code
-    if args.file:
-        with open(code) as handle:
-            code = handle.read()
+    code = _read_text(args.code) if args.file else args.code
     g = classical.parse_gauss_code(code)
     result: dict = {"v2": classical.v2(g)}
     if args.verbose:

@@ -83,13 +83,6 @@ class CrossingDiagram:
     def lk_value(self, a: LiftId, b: LiftId) -> int:
         return self.lk.get(pair_key(a, b), 0)
 
-    def writhe_value(self, lift: LiftId) -> int:
-        return self.writhe.get(lift, 0)
-
-    def lifts(self) -> list[LiftId]:
-        """All 2m lifts in the canonical order."""
-        return [LiftId(i, e) for i in range(1, self.m + 1) for e in (0, 1)]
-
     def checked_crossings(self, indices: Iterable[int]) -> set[int]:
         """The given crossing indices as a set; each must lie in 1..m."""
         s = set(indices)

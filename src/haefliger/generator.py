@@ -165,7 +165,6 @@ class GeneratorReport:
     """End-to-end verification of the generator's linking data."""
 
     linking_matrix: dict[tuple[LiftId, LiftId], int]
-    hopf_pairs: tuple[tuple[LiftId, LiftId], ...]
     matches_diagram: bool
     h_value: Fraction
     singleton_deltas: dict[int, Fraction]
@@ -207,7 +206,6 @@ def verify_generator(
     deltas = {i: delta_h_reduced(diagram, {i}) for i in range(1, 7)}
     return GeneratorReport(
         linking_matrix=matrix,
-        hopf_pairs=tuple((a, b) for a, b, _ in HOPF_PAIRS),
         matches_diagram=matches,
         h_value=deltas[1],
         singleton_deltas=deltas,

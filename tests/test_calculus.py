@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -65,6 +66,33 @@ def test_delta_h_formulas_agree(rng):
         d = random_diagram(rng)
         s = random_subset(rng, d.m)
         assert delta_h_full(d, s) == delta_h_reduced(d, s)
+
+
+def reference_signed_sum(d):
+    """Signed pair sum written out here, independent of the library kernel."""
+    return sum((-1) ** (a.level + b.level) * v for (a, b), v in d.lk.items())
+
+
+def test_switched_sums_match_built_switched_diagrams(rng):
+    # The library reads the switched sum from d with levels flipped; the
+    # reference builds the switched diagram with crossing_change instead.
+    for _ in range(200):
+        d = random_diagram(rng, with_writhe=True)
+        s = random_subset(rng, d.m)
+        expected = Fraction(
+            reference_signed_sum(d) - reference_signed_sum(crossing_change(d, s)), 4
+        )
+        assert delta_h_full(d, s) == expected
+        idx = [int(i) for i in rng.permutation(range(1, d.m + 1))[:4]]
+        h0 = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        alternating = sum(
+            (-1) ** r * (h0 - Fraction(
+                reference_signed_sum(d)
+                - reference_signed_sum(crossing_change(d, subset)), 4))
+            for r in range(len(idx) + 1)
+            for subset in combinations(idx, r)
+        )
+        assert v_alternating(h0, d, idx) == alternating
 
 
 def test_delta_h_antisymmetry(rng):
@@ -195,6 +223,16 @@ def test_e_jump_index_out_of_range():
     )
     with pytest.raises(InconsistentEvent):
         e_jump(event, 2)  # 4 > 2k-1 = 3
+
+
+def test_e_jump_refuses_non_positive_k():
+    for event in (
+        HomotopyEvent(kind="triple_point", pattern="all_distinct"),
+        HomotopyEvent(kind="definite_tangency"),
+    ):
+        for k in (0, -3):
+            with pytest.raises(IndexOutOfRange):
+                e_jump(event, k)
 
 
 def test_homotopy_event_validation():

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from haefliger.classical import (
@@ -148,3 +151,19 @@ def test_v2_matches_oracle_on_braid_closures(rng):
     for word, strands in words:
         g = parse_gauss_code(braid_closure_code(word, strands))
         assert v2(g) == conway_a2_oracle(g)
+
+
+def test_oracle_frees_its_memo_on_return():
+    # A full collection also empties the interpreter's free lists (about
+    # 1.5 MB of spare tuples after this call), which are not the oracle's.
+    g = parse_gauss_code(torus_knot_code(11))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert conway_a2_oracle(g) == 15
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000

@@ -47,9 +47,10 @@ def test_lk_json_with_quadrature(capsys, tmp_path):
 
 
 def test_lk_custom_axis(capsys, tmp_path):
-    code, out = run_cli(capsys, "lk", write_hopf(tmp_path), "--axis", "0,1,0")
-    assert code == 0
-    assert out == "lk: 1\n"
+    for axis in ("0,1,0", "0.6,0,0.8"):
+        code, out = run_cli(capsys, "lk", write_hopf(tmp_path), "--axis", axis)
+        assert code == 0
+        assert out == "lk: 1\n"
 
 
 def test_writhe_command(capsys, tmp_path):
@@ -179,6 +180,31 @@ def test_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["delta-h", "FF", "--switch", "1"], ["v2", "MISSING", "--file"],
+     ["v2", "FF", "--file"]],
+    ids=["delta-h 0xff file", "v2 missing file", "v2 0xff file"],
+)
+def test_unreadable_files_exit_2(capsys, tmp_path, argv):
+    undecodable = tmp_path / "ff.json"
+    undecodable.write_bytes(b"\xff{}")
+    paths = {"FF": str(undecodable), "MISSING": str(tmp_path / "missing.txt")}
+    assert cli.run([paths.get(arg, arg) for arg in argv]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--kind", "triple_point", "--pattern", "all_distinct", "--k", "0"],
+     ["--kind", "definite_tangency", "--k", "-3"]],
+    ids=["triple point k 0", "definite tangency k -3"],
+)
+def test_e_jump_refuses_non_positive_k(capsys, argv):
+    assert cli.run(["e-jump", *argv]) == 3
+    assert "positive" in capsys.readouterr().err
+
+
 def test_lk_rejects_non_finite_coordinates(capsys, tmp_path):
     path = tmp_path / "inf.json"
     path.write_text('{"components": [[[0, 0, 0], [1, 0, 0], [0, 1, Infinity]],'
@@ -187,7 +213,7 @@ def test_lk_rejects_non_finite_coordinates(capsys, tmp_path):
     assert "components[0][2]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,1"])
+@pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,1", "0,0,\u0661"])
 def test_lk_rejects_bad_axis(capsys, tmp_path, axis):
     assert cli.run(["lk", write_hopf(tmp_path), "--axis", axis]) == 2
     capsys.readouterr()

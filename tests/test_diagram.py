@@ -34,7 +34,6 @@ def test_pair_key_canonicalizes():
 def test_empty_diagram():
     d = make_diagram(k=1, m=0)
     assert d.lk == {} and d.writhe == {}
-    assert d.lifts() == []
 
 
 def test_make_diagram_drops_zeros_and_collapses_duplicates():
