@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import AbstractSet, Iterable, Literal, Sequence
+from typing import AbstractSet, Iterable, Iterator, Literal, Sequence
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import (
@@ -81,17 +81,15 @@ def i_x_dirac(d: CrossingDiagram) -> Fraction:
     return Fraction(_signed_pair_sum(d), 2) + Fraction(w, 4)
 
 
-def v_alternating(
+def _subset_values(
     h0: Fraction | int, d: CrossingDiagram, indices: Sequence[int]
-) -> Fraction:
-    """Alternating subset sum testing finite-type behaviour.
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (S, h0 - delta_h(d, S)) for every subset S of the given crossings.
 
-    Sums (-1)^|S| u(f_S) over all 2^r subsets S of the given crossings,
-    where u(f_S) = h0 - delta_h(d, S).  Each delta_h takes the signed
-    pair sum of ``d``, computed once, minus the sum read from ``d`` with
-    the levels of S swapped; no switched diagram is built.  The base
-    value h0 cancels as soon as the index list is nonempty; vanishing
-    for 3 indices is the order-2 property.
+    Subsets come in ``itertools.combinations`` order, smallest first.
+    The signed pair sum of ``d`` is computed once; each subset's sum is
+    read from ``d`` with the levels of S swapped, so no switched diagram
+    is built.
     """
     idx = list(indices)
     if len(set(idx)) != len(idx):
@@ -99,12 +97,26 @@ def v_alternating(
     d.checked_crossings(idx)
     h0 = Fraction(h0)
     base = _signed_pair_sum(d)
-    total = Fraction(0)
     for r in range(len(idx) + 1):
         for subset in combinations(idx, r):
             delta = Fraction(base - _signed_pair_sum(d, frozenset(subset)), 4)
-            total += (-1) ** r * (h0 - delta)
-    return total
+            yield subset, h0 - delta
+
+
+def v_alternating(
+    h0: Fraction | int, d: CrossingDiagram, indices: Sequence[int]
+) -> Fraction:
+    """Alternating subset sum testing finite-type behaviour.
+
+    Sums (-1)^|S| u(f_S) over all 2^r subsets S of the given crossings,
+    where u(f_S) = h0 - delta_h(d, S).  The base value h0 cancels as
+    soon as the index list is nonempty; vanishing for 3 indices is the
+    order-2 property.
+    """
+    return sum(
+        ((-1) ** len(s) * u for s, u in _subset_values(h0, d, indices)),
+        Fraction(0),
+    )
 
 
 def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:

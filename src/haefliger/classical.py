@@ -9,6 +9,13 @@ the diagram and its descending (hence trivial) companion.
 An independent skein-recursion oracle computes the z^2 coefficient of
 the Conway polynomial for cross-checking; it shares no code path with
 the pairing.
+
+Both are defined for realizable codes only, i.e. Gauss codes of planar
+knot diagrams.  The oracle's parity check (every arrow interleaves
+evenly many arrows) is necessary for planarity but not sufficient, and
+``v2`` checks nothing: ``O1+U2+O3-U1+O2+U3-``, the trefoil word with
+mixed signs, passes the parity check without being a planar diagram,
+and on it ``v2`` returns 0 while ``conway_a2_oracle`` returns 1.
 """
 
 from __future__ import annotations
@@ -152,7 +159,11 @@ def rotate_basepoint(diagram: GaussDiagramK, shift: int) -> GaussDiagramK:
 
 
 def v2(diagram: GaussDiagramK) -> int:
-    """Order-2 invariant via the descending-diagram pairing difference."""
+    """Order-2 invariant via the descending-diagram pairing difference.
+
+    Defined for realizable (planar) codes only; a non-realizable code is
+    not refused and gives a meaningless value (see the module docstring).
+    """
     descended = switch(diagram, descending_set(diagram))
     difference = x_pairing(diagram) - x_pairing(descended)
     if difference % 4 != 0:
@@ -271,7 +282,10 @@ def conway_polynomial(diagram: GaussDiagramK) -> Poly:
 
 
 def _check_parity(diagram: GaussDiagramK) -> None:
-    """Necessary planarity condition: every arrow links evenly many arrows."""
+    """Necessary planarity condition: every arrow links evenly many arrows.
+
+    Not sufficient: ``O1+U2+O3-U1+O2+U3-`` passes but is not planar.
+    """
     for a in diagram.arrows:
         count = sum(1 for b in diagram.arrows if b is not a and _interleaved(a, b))
         if count % 2 != 0:
@@ -281,6 +295,11 @@ def _check_parity(diagram: GaussDiagramK) -> None:
 
 
 def conway_a2_oracle(diagram: GaussDiagramK) -> int:
-    """z^2 coefficient of the Conway polynomial; equals v2 for knots."""
+    """z^2 coefficient of the Conway polynomial; equals v2 for knots.
+
+    Defined for realizable (planar) codes only.  Codes failing the parity
+    check raise NonRealizable, but passing it does not make a code
+    realizable (see the module docstring).
+    """
     poly = conway_polynomial(diagram)
     return poly[2] if len(poly) > 2 else 0

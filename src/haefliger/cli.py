@@ -89,9 +89,12 @@ def _read_text(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     text = _read_text(path)
+    # Besides JSONDecodeError (a ValueError), json refuses integers of
+    # more than 4300 digits with a plain ValueError and deep nesting
+    # with RecursionError.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -169,17 +172,16 @@ def _cmd_delta_h(args) -> dict:
 
 
 def _cmd_vfinite(args) -> dict:
-    from itertools import combinations
-
     d = diagram.diagram_from_dict(_load_json(args.diagram))
     indices = _indices(args.indices)
     h0 = _fraction(args.h0)
-    result = {"v": calculus.v_alternating(h0, d, indices)}
-    if args.verbose:
-        for r in range(len(indices) + 1):
-            for subset in combinations(indices, r):
-                key = "h_S_" + ",".join(str(i) for i in subset)
-                result[key] = h0 - calculus.delta_h_full(d, subset)
+    if not args.verbose:
+        return {"v": calculus.v_alternating(h0, d, indices)}
+    # One enumeration gives both the lattice values and their sum.
+    values = list(calculus._subset_values(h0, d, indices))
+    result = {"v": sum(((-1) ** len(s) * u for s, u in values), Fraction(0))}
+    for subset, value in values:
+        result["h_S_" + ",".join(str(i) for i in subset)] = value
     return result
 
 

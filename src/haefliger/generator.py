@@ -15,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import InvalidParams
 from .linking import PolyCurve, linking_number_pl
 from .calculus import delta_h_reduced
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The six Hopf-linked pairs of double point components, grouped by the
 # sphere containing them.
@@ -78,6 +80,8 @@ def _torus_embed(
     theta: np.ndarray, disc: np.ndarray, ring_radius: float, offset: np.ndarray
 ) -> PolyCurve:
     """Embed face coordinates (angle, disc point) as a solid torus in R^3."""
+    import numpy as np
+
     x = (ring_radius + disc[:, 0]) * np.cos(theta)
     y = (ring_radius + disc[:, 0]) * np.sin(theta)
     z = disc[:, 1]
@@ -86,6 +90,8 @@ def _torus_embed(
 
 
 def _fiber(d0, ring_radius, offset, n, reverse=False) -> PolyCurve:
+    import numpy as np
+
     theta = 2.0 * pi * (np.arange(n) + 0.31) / n
     if reverse:
         theta = theta[::-1]
@@ -96,6 +102,8 @@ def _fiber(d0, ring_radius, offset, n, reverse=False) -> PolyCurve:
 def _cross_section(
     theta0, center, radius, ring_radius, offset, n, reverse=False
 ) -> PolyCurve:
+    import numpy as np
+
     psi = 2.0 * pi * (np.arange(n) + 0.17) / n
     if reverse:
         psi = psi[::-1]
@@ -118,6 +126,8 @@ def generator_double_point_curves(
     """
     if params.k != 1:
         raise InvalidParams("explicit curves are only constructed for k = 1")
+    import numpy as np
+
     alpha = float(params.alpha)
     beta = float(params.beta)
     bp = beta / sqrt(2.0)  # offset magnitude along the diagonal direction

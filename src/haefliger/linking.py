@@ -13,6 +13,9 @@ Both first decide exactly, in rational arithmetic, that the two curves
 are disjoint; floats only serve a bounding-box prefilter that picks the
 segment pairs the exact predicates look at.
 
+numpy is imported inside the float functions, not at module level, so
+``import haefliger`` and the pure-arithmetic commands never load it.
+
 Crossing sign convention: the sign of a crossing is the orientation of
 the frame (over-strand tangent, under-strand tangent, projection axis),
 fixed so that the standard positively-oriented Hopf link has linking
@@ -24,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, sqrt
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     BandObstructed,
@@ -34,6 +35,9 @@ from .errors import (
     NonGenericProjection,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Segment = tuple[Vec3, Vec3]
@@ -83,6 +87,8 @@ class PolyCurve:
         )
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.vertices, dtype=float)
 
 
@@ -203,6 +209,8 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
 
 def _project(points: np.ndarray, basis) -> np.ndarray:
     """Float coordinates of the points in the (u, v) projection plane."""
+    import numpy as np
+
     u, v, _ = basis
     return points @ np.array([[float(x) for x in u], [float(x) for x in v]]).T
 
@@ -215,6 +223,8 @@ def _candidate_pairs(pts1: np.ndarray, pts2: np.ndarray) -> np.ndarray:
     absorbs conversion and projection rounding, so no pair of exactly
     meeting segments is dropped; exact predicates decide the rest.
     """
+    import numpy as np
+
     margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
     ends1 = np.stack([pts1, np.roll(pts1, -1, axis=0)])
     ends2 = np.stack([pts2, np.roll(pts2, -1, axis=0)])
@@ -267,6 +277,8 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
 
 def _resample(verts: np.ndarray, subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and tangent*dl arrays with roughly `subdivisions` samples."""
+    import numpy as np
+
     per_seg = max(1, -(-subdivisions // len(verts)))
     t = (np.arange(per_seg) + 0.5) / per_seg
     step = np.roll(verts, -1, axis=0) - verts
@@ -278,6 +290,8 @@ def gauss_linking_quadrature(
     m: PolyCurve, n: PolyCurve, subdivisions: int = 128
 ) -> float:
     """Gauss double integral (1/4pi) oint oint det(t1, t2, r) / |r|^3."""
+    import numpy as np
+
     pts1, pts2 = m.as_array(), n.as_array()
     _check_disjoint(m.segments(), n.segments(), pts1, pts2)
     x1, t1 = _resample(pts1, subdivisions)
@@ -342,6 +356,8 @@ def circle(
 
     Oriented counterclockwise when viewed from the tip of ``normal``.
     """
+    import numpy as np
+
     c = np.array(center, dtype=float)
     w = np.array(normal, dtype=float)
     w = w / np.linalg.norm(w)
@@ -363,13 +379,23 @@ def curves_to_dict(curves: Sequence[PolyCurve]) -> dict:
     }
 
 
+def _finite_float(x: int | float) -> bool:
+    try:
+        return isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _vertex(point, c: int, v: int) -> tuple:
     coords = tuple(point)
     for x in coords:
-        # bool is an int subclass; Fraction would also take strings.
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not isfinite(x):
+        # bool is an int subclass; Fraction would also take strings.  The
+        # float prefilter needs every coordinate as a finite float.
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or not _finite_float(x)):
             raise ParseError(
-                f"components[{c}][{v}]: coordinate {x!r} is not a finite number"
+                f"components[{c}][{v}]: coordinate {x!r} is not a finite"
+                " number in float range"
             )
     return coords
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from haefliger.diagram import diagram_to_dict
 from haefliger.generator import generator_diagram
 from haefliger.linking import curves_to_dict
 
+from conftest import random_diagram
 from helpers import hopf_link
 
 
@@ -95,6 +100,25 @@ def test_vfinite_command(capsys, tmp_path):
     )
     assert json.loads(out)["v"] == {"num": -1, "den": 4}
 
+
+
+def test_vfinite_verbose_lattice_values(capsys, tmp_path, rng):
+    d = random_diagram(rng, m_min=5, m_max=8)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(diagram_to_dict(d)))
+    indices = [2, 5, 1]
+    h0 = Fraction(5, 3)
+    code, out = run_cli(
+        capsys, "--format", "json", "vfinite", str(path),
+        "--indices", "2,5,1", "--h0", "5/3", "--verbose",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    expected = {"v": calculus.v_alternating(h0, d, indices)}
+    for subset in ((), (2,), (5,), (1,), (2, 5), (2, 1), (5, 1), (2, 5, 1)):
+        key = "h_S_" + ",".join(map(str, subset))
+        expected[key] = h0 - calculus.delta_h_full(d, subset)
+    assert doc == {k: cli._rational(v) for k, v in expected.items()}
 
 def test_e_jump_command(capsys):
     code, out = run_cli(
@@ -259,3 +283,67 @@ def test_delta_h_cross_check_failure_exits_15(capsys, tmp_path, monkeypatch, nam
     path = write_generator_diagram(tmp_path)
     assert cli.run(["delta-h", path, "--switch", "1"]) == 15
     assert "!=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"k": 1' + "0" * 5000 + ', "m": 1}', "[" * 100_000],
+    ids=["5001-digit integer", "nesting 100000 deep"],
+)
+def test_json_that_json_refuses_outright_exits_2(capsys, tmp_path, text):
+    # json raises a plain ValueError and a RecursionError for these, not
+    # JSONDecodeError.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.run(["delta-h", str(path), "--switch", "1"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_lk_rejects_coordinates_beyond_float_range(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"components": [[[0, 0, 0], [1, 0, 0], [0, 1, 1' + "0" * 400
+                    + ']], [[5, 0, 0], [6, 0, 0], [5, 1, 0]]]}')
+    assert cli.run(["lk", str(path)]) == 2
+    assert "components[0][2]" in capsys.readouterr().err
+
+
+# Runs one CLI call in a fresh interpreter, then reports on stderr
+# whether numpy got loaded.
+_PROBE = (
+    "import sys\n"
+    "from haefliger.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_in_fresh_process(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1] == "True"
+
+
+def test_exact_commands_never_load_numpy(capsys, tmp_path):
+    gen = write_generator_diagram(tmp_path)
+    commands = [
+        ["v2", "O1+U2+O3+U1+O2+U3+", "--verbose"],
+        ["jacobian", "--k", "2"],
+        ["e-jump", "--kind", "indefinite_tangency", "--k", "1", "--index", "1",
+         "--joins", "--lk00", "2", "--lk11", "1"],
+        ["delta-h", gen, "--switch", "1,2"],
+        ["vfinite", gen, "--indices", "1,2,3", "--verbose", "--h0", "5/3"],
+        ["generator", "--k", "1"],
+    ]
+    for argv in commands:
+        argv = ["--format", "json", *argv]
+        code, out, numpy_loaded = _run_in_fresh_process(*argv)
+        assert code == 0, argv
+        assert (code, out) == run_cli(capsys, *argv), argv
+        assert not numpy_loaded, argv
+    # The probe does see numpy when a float command loads it.
+    assert _run_in_fresh_process("lk", write_hopf(tmp_path)) == (0, "lk: 1\n", True)
