@@ -101,7 +101,6 @@ def test_vfinite_command(capsys, tmp_path):
     assert json.loads(out)["v"] == {"num": -1, "den": 4}
 
 
-
 def test_vfinite_verbose_lattice_values(capsys, tmp_path, rng):
     d = random_diagram(rng, m_min=5, m_max=8)
     path = tmp_path / "d.json"
@@ -119,6 +118,7 @@ def test_vfinite_verbose_lattice_values(capsys, tmp_path, rng):
         key = "h_S_" + ",".join(map(str, subset))
         expected[key] = h0 - calculus.delta_h_full(d, subset)
     assert doc == {k: cli._rational(v) for k, v in expected.items()}
+
 
 def test_e_jump_command(capsys):
     code, out = run_cli(
