@@ -1,8 +1,10 @@
 """End-to-end verification of the generator's double point geometry.
 
 Realizes the twelve double point circles of the six-crossing generator
-as explicit polylines, computes all 66 pairwise linking numbers, and
-checks that exactly the six expected Hopf pairs survive.
+as explicit polylines and computes all 66 pairwise linking numbers with
+one ``linking_matrix`` call.  The diagram they build must equal the
+six-crossing diagram (exactly the six Hopf pairs survive), and the
+invariant printed is read from that built diagram, not from a stored one.
 """
 
 from haefliger import BorromeanParams, generator_double_point_curves, verify_generator

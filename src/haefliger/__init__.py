@@ -23,6 +23,7 @@ from .linking import (
     curves_from_dict,
     curves_to_dict,
     gauss_linking_quadrature,
+    linking_matrix,
     linking_number_pl,
     writhe_pl,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "generator_double_point_curves",
     "i_x_dirac",
     "jacobian_det",
+    "linking_matrix",
     "linking_number_pl",
     "make_diagram",
     "murai_ohba_certificate",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import AbstractSet, Iterable, Iterator, Literal, Sequence
+from typing import AbstractSet, Iterable, Iterator, Literal, Sequence, get_args
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import (
@@ -128,25 +128,27 @@ def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:
     return Fraction(h_of_f) - Fraction(_signed_pair_sum(d), 4)
 
 
-TangencyKind = Literal["definite", "indefinite"]
+EventKind = Literal["definite_tangency", "indefinite_tangency", "triple_point"]
 TriplePattern = Literal["all_distinct", "i_eq_j", "p_eq_i", "j_eq_p", "all_equal"]
+EVENT_KINDS: tuple[str, ...] = get_args(EventKind)
+TRIPLE_PATTERNS: tuple[str, ...] = get_args(TriplePattern)
 
 
 @dataclass(frozen=True)
 class HomotopyEvent:
     """A codimension-1 event of a regular homotopy of immersions.
 
-    ``kind`` is one of "definite_tangency", "indefinite_tangency",
-    "triple_point".  For indefinite tangencies: ``index`` is the index
-    of the local quadratic form (1..2k-1), ``joins_components`` tells
-    whether the deformation merges two components of the
-    self-intersection, and lk00/lk11 are the same-level linking numbers
-    of the merging pair.  For triple points: ``pattern`` records which
-    of the three double-point components coincide.  ``sign`` is the
-    direction of travel through the stratum, supplied by the caller.
+    ``kind`` is one of ``EVENT_KINDS``.  For indefinite tangencies:
+    ``index`` is the index of the local quadratic form (1..2k-1),
+    ``joins_components`` tells whether the deformation merges two
+    components of the self-intersection, and lk00/lk11 are the
+    same-level linking numbers of the merging pair.  For triple points:
+    ``pattern`` (one of ``TRIPLE_PATTERNS``) records which of the three
+    double-point components coincide.  ``sign`` is the direction of
+    travel through the stratum, supplied by the caller.
     """
 
-    kind: str
+    kind: EventKind
     sign: int = 1
     index: int | None = None
     joins_components: bool = False
@@ -155,23 +157,13 @@ class HomotopyEvent:
     pattern: TriplePattern | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            "definite_tangency",
-            "indefinite_tangency",
-            "triple_point",
-        ):
+        if self.kind not in EVENT_KINDS:
             raise InconsistentEvent(f"unknown event kind {self.kind!r}")
         if self.sign not in (1, -1):
             raise InconsistentEvent("event sign must be +1 or -1")
         if self.kind == "indefinite_tangency" and self.index is None:
             raise InconsistentEvent("indefinite tangency needs a quadratic index")
-        if self.kind == "triple_point" and self.pattern not in (
-            "all_distinct",
-            "i_eq_j",
-            "p_eq_i",
-            "j_eq_p",
-            "all_equal",
-        ):
+        if self.kind == "triple_point" and self.pattern not in TRIPLE_PATTERNS:
             raise InconsistentEvent(f"bad triple-point pattern {self.pattern!r}")
 
 

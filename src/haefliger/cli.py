@@ -280,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vfinite)
 
     p = sub.add_parser("e-jump", help="jump of the immersion invariant at an event")
-    p.add_argument("--kind", required=True, choices=(
-        "definite_tangency", "indefinite_tangency", "triple_point"))
+    p.add_argument("--kind", required=True, choices=calculus.EVENT_KINDS)
     p.add_argument("--k", type=_integer, default=1)
     p.add_argument("--sign", type=_integer, default=1, choices=(1, -1))
     p.add_argument("--index", type=_integer, help="index of the quadratic form")
@@ -289,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the deformation joins two components")
     p.add_argument("--lk00", type=_integer, default=0)
     p.add_argument("--lk11", type=_integer, default=0)
-    p.add_argument("--pattern", choices=(
-        "all_distinct", "i_eq_j", "p_eq_i", "j_eq_p", "all_equal"))
+    p.add_argument("--pattern", choices=calculus.TRIPLE_PATTERNS)
     p.set_defaults(func=_cmd_e_jump)
 
     p = sub.add_parser("generator", help="emit the six-crossing generator data")

@@ -3,15 +3,16 @@
 Two routes to the linking number are provided and cross-checked in the
 test suite:
 
-* ``linking_number_pl`` -- exact signed crossing count of a generic
-  projection, computed with rational arithmetic (half the signed sum of
-  inter-curve crossings).
+* ``linking_matrix`` -- exact signed crossing count of a generic
+  projection for every pair of a curve set, computed with rational
+  arithmetic (half the signed sum of inter-curve crossings);
+  ``linking_number_pl`` is its two-curve case.
 * ``gauss_linking_quadrature`` -- midpoint-rule evaluation of the Gauss
   double integral, floating point.
 
-Both first decide exactly, in rational arithmetic, that the two curves
-are disjoint; floats only serve a bounding-box prefilter that picks the
-segment pairs the exact predicates look at.
+Both first decide exactly, in rational arithmetic, that the curves are
+pairwise disjoint; floats only serve a bounding-box prefilter that picks
+the segment pairs the exact predicates look at.
 
 numpy is imported inside the float functions, not at module level, so
 ``import haefliger`` and the pure-arithmetic commands never load it.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isfinite, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -241,20 +243,36 @@ def _check_disjoint(segs1, segs2, pts1: np.ndarray, pts2: np.ndarray) -> None:
             raise CurvesIntersect("curves meet in R^3; not a valid link")
 
 
+def linking_matrix(
+    curves: Sequence[PolyCurve], axis: ProjectionAxis = EZ
+) -> dict[tuple[int, int], int]:
+    """Linking number of every pair i < j of the curves, keyed ``(i, j)``.
+
+    Each curve is converted to floats and projected once.  Every pair is
+    first checked disjoint exactly; a linking number is then half the
+    signed crossing count over the pair's candidate segment pairs.
+    """
+    basis = _plane_basis(axis)
+    segs = [c.segments() for c in curves]
+    pts = [c.as_array() for c in curves]
+    flat = [_project(p, basis) for p in pts]
+    matrix = {}
+    for i, j in combinations(range(len(curves)), 2):
+        _check_disjoint(segs[i], segs[j], pts[i], pts[j])
+        total = 0
+        for a, b in _candidate_pairs(flat[i], flat[j]):
+            total += _segment_crossings(segs[i][a], segs[j][b], basis)
+        if total % 2 != 0:
+            raise NonGenericProjection("odd signed crossing count")
+        matrix[i, j] = total // 2
+    return matrix
+
+
 def linking_number_pl(
     m: PolyCurve, n: PolyCurve, axis: ProjectionAxis = EZ
 ) -> int:
     """Linking number as half the signed crossing count of the projection."""
-    pts1, pts2 = m.as_array(), n.as_array()
-    segs1, segs2 = m.segments(), n.segments()
-    _check_disjoint(segs1, segs2, pts1, pts2)
-    basis = _plane_basis(axis)
-    total = 0
-    for i, j in _candidate_pairs(_project(pts1, basis), _project(pts2, basis)):
-        total += _segment_crossings(segs1[i], segs2[j], basis)
-    if total % 2 != 0:
-        raise NonGenericProjection("odd signed crossing count")
-    return total // 2
+    return linking_matrix([m, n], axis)[0, 1]
 
 
 def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
@@ -315,14 +333,16 @@ def connected_sum_pl(
 
     The band replaces the edge entering vertex ``band[0]`` of ``m1`` and
     the edge entering ``band[1]`` of ``m2`` by two straight connector
-    segments.  If a connector meets the other connector or any input
-    curve (decided exactly), or crosses a curve in ``avoid`` in
-    projection, the band is obstructed and the sum would not satisfy the
-    linking-additivity hypothesis.
+    segments.  ``m1`` and ``m2`` must be disjoint (decided exactly, else
+    :class:`CurvesIntersect`).  If a connector meets the other connector
+    or any input curve (decided exactly), or crosses a curve in ``avoid``
+    in projection, the band is obstructed and the sum would not satisfy
+    the linking-additivity hypothesis.
     """
     i1, i2 = band
     if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
         raise ParseError("band vertex index out of range")
+    _check_disjoint(m1.segments(), m2.segments(), m1.as_array(), m2.as_array())
     a = m1.vertices[i1:] + m1.vertices[:i1]
     b = m2.vertices[i2:] + m2.vertices[:i2]
     result = PolyCurve(a + b)

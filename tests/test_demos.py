@@ -1,4 +1,7 @@
-"""Smoke test: every script in ``demos/`` runs to completion."""
+"""Smoke test: every script in ``demos/`` runs to completion.
+
+Demos listed in ``EXPECTED_LINES`` must also print each of their lines.
+"""
 
 import os
 import subprocess
@@ -9,6 +12,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED_LINES = {
+    "demo_generator_curves.py": (
+        "matches the six-crossing diagram: True",
+        "invariant of the generator: 1",
+    ),
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +28,5 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    for line in EXPECTED_LINES.get(demo.name, ()):
+        assert line in proc.stdout.splitlines()

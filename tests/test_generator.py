@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from haefliger.diagram import LiftId
+from haefliger import generator
+from haefliger.diagram import LiftId, pair_key
 from haefliger.errors import InvalidParams
 from haefliger.generator import (
     DEFAULT_PARAMS,
@@ -91,6 +93,7 @@ def test_verify_generator_end_to_end():
     assert set(report.singleton_deltas.values()) == {Fraction(1)}
     assert len(report.linking_matrix) == 6
     assert set(report.linking_matrix.values()) == {1}
+    assert all(key == pair_key(*key) for key in report.linking_matrix)
 
 
 def test_verify_generator_resolution_independent():
@@ -106,3 +109,27 @@ def test_verify_generator_other_radii():
     report = verify_generator(BorromeanParams(alpha=3, beta=1), n=48)
     assert report.matches_diagram
     assert report.h_value == 1
+
+
+@pytest.mark.parametrize(
+    "reversed_lifts, matches, h",
+    [
+        ({LiftId(1, 1)}, False, 0),
+        # One circle of every Hopf pair: the global sign flips.
+        ({a for a, _, _ in HOPF_PAIRS}, True, -1),
+    ],
+    ids=["one circle", "global sign"],
+)
+def test_h_value_follows_the_curves(monkeypatch, reversed_lifts, matches, h):
+    build = generator.generator_double_point_curves
+
+    def reversing(params, n):
+        return [
+            replace(c, curve=c.curve.reversed()) if c.lift in reversed_lifts else c
+            for c in build(params, n)
+        ]
+
+    monkeypatch.setattr(generator, "generator_double_point_curves", reversing)
+    report = verify_generator(DEFAULT_PARAMS, n=32)
+    assert report.matches_diagram is matches
+    assert report.h_value == h

@@ -20,6 +20,7 @@ from haefliger.linking import (
     curves_from_dict,
     curves_to_dict,
     gauss_linking_quadrature,
+    linking_matrix,
     linking_number_pl,
     writhe_pl,
 )
@@ -89,6 +90,33 @@ def test_curves_touching_at_one_point_rejected():
         linking_number_pl(square, tri)
     with pytest.raises(CurvesIntersect):
         gauss_linking_quadrature(square, tri)
+
+
+def curve_set():
+    """Hopf pair, a (2, 4) torus link beside it and a far split circle."""
+    hopf = hopf_link(16)
+    torus = [c.translated((15, 0, 0)) for c in torus_link_curves(2, samples=32)]
+    far = circle((0, 30, 0), 1.0, (0.3, 0.2, 1), n=12, phase=0.4)
+    return [*hopf, *torus, far]
+
+
+def test_linking_matrix_matches_naive_oracle():
+    curves = curve_set()
+    matrix = linking_matrix(curves)
+    assert list(matrix) == [
+        (i, j) for i in range(len(curves)) for j in range(i + 1, len(curves))
+    ]
+    for (i, j), value in matrix.items():
+        assert value == naive_linking_oracle(curves[i], curves[j])
+    assert {key: v for key, v in matrix.items() if v} == {(0, 1): 1, (2, 3): 2}
+
+
+def test_linking_matrix_rejects_touching_curves():
+    curves = curve_set()
+    # A triangle standing on vertex 3 of the far circle, sharing only it.
+    tri = PolyCurve([(0, 0, 0), (0.5, 0, 1), (-0.5, 0, 1)])
+    with pytest.raises(CurvesIntersect):
+        linking_matrix([*curves, tri.translated(curves[-1].vertices[3])])
 
 
 def test_polycurve_validation():
@@ -268,6 +296,14 @@ def test_connected_sum_crossed_connectors_are_obstructed():
     m2 = PolyCurve([(3, 1, 0), (4, 1, 0), (4, 0, 0), (3, 0, 0)])
     with pytest.raises(BandObstructed):
         connected_sum_pl(m1, m2, band=(0, 0))
+
+
+def test_connected_sum_refuses_intersecting_summands():
+    # m2 runs through m1's edge at (4, 2, 0); the band itself is clear.
+    m1 = PolyCurve([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0)])
+    m2 = PolyCurve([(3, 2, 0), (6, 2, 0), (6, 2, 3), (3, 2, 3)])
+    with pytest.raises(CurvesIntersect):
+        connected_sum_pl(m1, m2, band=(0, 3))
 
 
 def test_connected_sum_random_additivity(rng):
