@@ -11,6 +11,7 @@ All values are immutable; operations return new diagrams.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -53,7 +54,8 @@ class CrossingDiagram:
     k >= 1 and m >= 0, and every lift of every key names a crossing in
     1..m and a level 0/1 (else :class:`IndexOutOfRange`), and every
     ``lk`` key is in canonical order (else :class:`AsymmetricEntry`,
-    since one pair could otherwise be stored twice).
+    since one pair could otherwise be stored twice), and every value is
+    exactly an ``int`` (else :class:`ParseError`, as in the JSON format).
     """
 
     k: int
@@ -67,28 +69,43 @@ class CrossingDiagram:
         if self.m < 0:
             raise IndexOutOfRange(f"crossing count m={self.m} must be non-negative")
         m = self.m
-        for key in self.lk:
+        for key, value in self.lk.items():
             (i, e), (j, f) = key
-            # Both lifts in range and lift_lt(a, b), in one test without
-            # calls: every diagram built pays it once per entry.
+            # Both lifts in range, lift_lt(a, b) and an int value, in one
+            # test without calls: every diagram built pays it once per entry.
             if not (0 < i <= j <= m and e in (0, 1) and f in (0, 1)
-                    and (i < j or e < f)):
+                    and (i < j or e < f) and type(value) is int):
                 a, b = key
                 _check_lift(a, m)
                 _check_lift(b, m)
-                raise AsymmetricEntry(f"key {key} not in canonical order")
-        for lift in self.writhe:
+                if not lift_lt(a, b):
+                    raise AsymmetricEntry(f"key {key} not in canonical order")
+                raise ParseError(f"lk value for {key} must be an integer, got {value!r}")
+        for lift, value in self.writhe.items():
             _check_lift(lift, m)
+            if type(value) is not int:
+                raise ParseError(f"writhe of {lift} must be an integer, got {value!r}")
 
     def lk_value(self, a: LiftId, b: LiftId) -> int:
         return self.lk.get(pair_key(a, b), 0)
 
     def checked_crossings(self, indices: Iterable[int]) -> set[int]:
-        """The given crossing indices as a set; each must lie in 1..m."""
-        s = set(indices)
-        for i in s:
-            if not 1 <= i <= self.m:
-                raise IndexOutOfRange(f"crossing {i} outside 1..{self.m}")
+        """The given crossing indices as a set of ints in 1..m.
+
+        Each index must be an integer (``operator.index``) other than a
+        bool, as in the JSON format; anything else is IndexOutOfRange.
+        """
+        s = set()
+        for i in indices:
+            try:
+                n = operator.index(i)
+            except TypeError:
+                n = None
+            if n is None or isinstance(i, bool):
+                raise IndexOutOfRange(f"crossing index {i!r} is not an integer")
+            if not 1 <= n <= self.m:
+                raise IndexOutOfRange(f"crossing {n} outside 1..{self.m}")
+            s.add(n)
         return s
 
 

@@ -1,3 +1,4 @@
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +17,7 @@ from haefliger.calculus import (
     smale_from_h,
     v_alternating,
 )
-from haefliger.diagram import LiftId, crossing_change, make_diagram
+from haefliger.diagram import CrossingDiagram, LiftId, crossing_change, make_diagram
 from haefliger.errors import (
     DuplicateIndex,
     HaefligerError,
@@ -95,6 +96,67 @@ def test_switched_sums_match_built_switched_diagrams(rng):
         assert v_alternating(h0, d, idx) == alternating
 
 
+def test_subset_values_match_built_switched_diagrams(rng):
+    # Every subset's value against the switched diagram built with
+    # crossing_change, for shuffled index lists of up to 8 crossings.
+    same_crossing = between_chosen = 0
+    for _ in range(40):
+        d = random_diagram(rng, m_min=1, m_max=9, with_writhe=True)
+        r = int(rng.integers(0, min(d.m, 8) + 1))
+        idx = [int(i) for i in rng.permutation(range(1, d.m + 1))[:r]]
+        h0 = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        expected = {
+            subset: h0 - Fraction(
+                reference_signed_sum(d)
+                - reference_signed_sum(crossing_change(d, subset)), 4)
+            for size in range(r + 1)
+            for subset in combinations(idx, size)
+        }
+        assert dict(calculus._subset_values(h0, d, idx)) == expected
+        same_crossing += sum(a.crossing == b.crossing and a.crossing in idx
+                             for a, b in d.lk)
+        between_chosen += sum(a.crossing != b.crossing
+                              and {a.crossing, b.crossing} <= set(idx)
+                              for a, b in d.lk)
+    assert same_crossing and between_chosen
+
+
+def test_v_alternating_of_no_indices_is_h0():
+    assert v_alternating(Fraction(-7, 3), generator_diagram(1), []) == Fraction(-7, 3)
+
+
+class CountingMapping(Mapping):
+    """Read-only mapping that counts the passes made over it."""
+
+    def __init__(self, data):
+        self.data = data
+        self.passes = 0
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+    def items(self):
+        self.passes += 1
+        return self.data.items()
+
+
+def test_v_alternating_reads_the_diagram_once(rng):
+    plain = random_diagram(rng, m_min=12, m_max=12, with_writhe=True)
+    counted = CountingMapping(plain.lk)
+    d = CrossingDiagram(k=1, m=plain.m, lk=counted, writhe=plain.writhe)
+    counted.passes = 0
+    idx = [int(i) for i in rng.permutation(range(1, 13))[:10]]
+    assert v_alternating(3, d, idx) == v_alternating(3, plain, idx)
+    assert counted.passes <= 1
+
+
 def test_delta_h_antisymmetry(rng):
     # H(f) - H(f_S) computed from f_S with the same switch set negates.
     for _ in range(100):
@@ -161,6 +223,22 @@ def test_v_alternating_nonzero_at_order_two():
 def test_v_alternating_duplicate_index():
     with pytest.raises(DuplicateIndex):
         v_alternating(0, generator_diagram(1), [1, 1])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        crossing_change,
+        delta_h_full,
+        delta_h_reduced,
+        lambda d, s: v_alternating(0, d, s),
+    ],
+    ids=["crossing_change", "delta_h_full", "delta_h_reduced", "v_alternating"],
+)
+def test_non_integer_crossing_index_is_refused(call, bad):
+    with pytest.raises(IndexOutOfRange):
+        call(generator_diagram(1), [bad])
 
 
 def test_e_invariant_examples():

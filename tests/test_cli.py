@@ -120,6 +120,31 @@ def test_vfinite_verbose_lattice_values(capsys, tmp_path, rng):
     assert doc == {k: cli._rational(v) for k, v in expected.items()}
 
 
+@pytest.mark.parametrize(
+    "indices, code", [("1,1", 5), ("1,7", 3)], ids=["repeated", "beyond m"]
+)
+def test_vfinite_refuses_bad_indices(capsys, tmp_path, indices, code):
+    path = write_generator_diagram(tmp_path)
+    assert cli.run(["vfinite", path, "--indices", indices]) == code
+    capsys.readouterr()
+
+
+def test_vfinite_verbose_json_is_byte_stable(capsys, tmp_path):
+    # Pinned output: the subsets may be enumerated in any order.
+    code, out = run_cli(
+        capsys, "--format", "json", "vfinite", write_generator_diagram(tmp_path),
+        "--indices", "3,1,4", "--verbose",
+    )
+    assert code == 0
+    assert out == (
+        '{"h_S_":{"den":1,"num":0},"h_S_1":{"den":1,"num":-1},'
+        '"h_S_1,4":{"den":1,"num":-1},"h_S_3":{"den":1,"num":-1},'
+        '"h_S_3,1":{"den":1,"num":-2},"h_S_3,1,4":{"den":1,"num":-2},'
+        '"h_S_3,4":{"den":1,"num":-2},"h_S_4":{"den":1,"num":-1},'
+        '"v":{"den":1,"num":0}}\n'
+    )
+
+
 def test_e_jump_command(capsys):
     code, out = run_cli(
         capsys, "--format", "json", "e-jump",

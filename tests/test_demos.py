@@ -13,6 +13,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXPECTED_LINES = {
+    "demo_crossing_calculus.py": (
+        "alternating sum over subsets of {1}:       1",
+        "alternating sum over subsets of {1, 4}:    1",
+        "alternating sum over subsets of {1, 2, 3}: 0",
+    ),
     "demo_generator_curves.py": (
         "matches the six-crossing diagram: True",
         "invariant of the generator: 1",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from haefliger.diagram import (
@@ -79,10 +81,18 @@ L = LiftId
         ({"lk": {(L(2, 0), L(1, 0)): 1}}, AsymmetricEntry),
         ({"lk": {(L(1, 1), L(1, 0)): 1}}, AsymmetricEntry),
         ({"lk": {(L(1, 0), L(1, 0)): 1}}, AsymmetricEntry),
+        ({"lk": {(L(1, 0), L(2, 0)): 0.5}}, ParseError),
+        ({"lk": {(L(1, 0), L(2, 0)): Fraction(1)}}, ParseError),
+        ({"lk": {(L(1, 0), L(2, 0)): True}}, ParseError),
+        ({"lk": {(L(1, 0), L(2, 0)): "1"}}, ParseError),
+        ({"writhe": {L(1, 0): 0.5}}, ParseError),
+        ({"writhe": {L(1, 0): True}}, ParseError),
     ],
     ids=["k=0", "m=-1", "crossing>m", "crossing=0", "level=2", "level=-1",
          "same crossing level=2", "writhe crossing>m", "writhe level=2",
-         "key reversed", "levels reversed", "identical lifts"],
+         "key reversed", "levels reversed", "identical lifts",
+         "lk float", "lk Fraction", "lk bool", "lk str",
+         "writhe float", "writhe bool"],
 )
 def test_construction_checks_every_invariant(fields, error):
     with pytest.raises(error):
