@@ -4,15 +4,16 @@ Two routes to the linking number are provided and cross-checked in the
 test suite:
 
 * ``linking_matrix`` -- exact signed crossing count of a generic
-  projection for every pair of a curve set, computed with rational
-  arithmetic (half the signed sum of inter-curve crossings);
-  ``linking_number_pl`` is its two-curve case.
+  projection for every pair of a curve set (half the signed sum of
+  inter-curve crossings); ``linking_number_pl`` is its two-curve case.
 * ``gauss_linking_quadrature`` -- midpoint-rule evaluation of the Gauss
   double integral, floating point.
 
-Both first decide exactly, in rational arithmetic, that the curves are
-pairwise disjoint; floats only serve a bounding-box prefilter that picks
-the segment pairs the exact predicates look at.
+Both first decide exactly that the curves are pairwise disjoint.  The
+exact predicates are division-free and run on one integer grid for all
+curves of a call (the lcm of their denominators; a power of two for float
+input).  Floats only serve a box prefilter, one sort-and-sweep over every
+segment of the set.  Each curve converts its vertices once, on first use.
 
 numpy is imported inside the float functions, not at module level, so
 ``import haefliger`` and the pure-arithmetic commands never load it.
@@ -27,16 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import isfinite, sqrt
+from math import isfinite, lcm, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import (
-    BandObstructed,
-    CurvesIntersect,
-    NonGenericProjection,
-    ParseError,
-)
+from .errors import BandObstructed, CurvesIntersect, NonGenericProjection, ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,7 +55,8 @@ class PolyCurve:
     """Closed oriented polyline; the vertex list is implicitly closed.
 
     Coordinates are held exactly (as rationals) so that crossing
-    predicates are error-free.
+    predicates are error-free.  Their float and integer forms are cached on
+    first use, outside the fields, so equality and hashing are unchanged.
     """
 
     vertices: tuple[Vec3, ...]
@@ -89,9 +87,20 @@ class PolyCurve:
         )
 
     def as_array(self) -> np.ndarray:
+        """The vertices as an (n, 3) float array, converted once and read-only."""
+        return self._grid[2]
+
+    @cached_property
+    def _grid(self) -> tuple[int, tuple[tuple[int, int, int], ...], np.ndarray]:
+        """(D, vertices times D as ints, as floats), D the denominators' lcm."""
         import numpy as np
 
-        return np.array(self.vertices, dtype=float)
+        ratios = [x.as_integer_ratio() for p in self.vertices for x in p]
+        scale = lcm(*{d for _, d in ratios})
+        ints = [n * (scale // d) for n, d in ratios]
+        floats = np.array([n / d for n, d in ratios]).reshape(-1, 3)
+        floats.flags.writeable = False
+        return scale, tuple(zip(ints[0::3], ints[1::3], ints[2::3])), floats
 
 
 @dataclass(frozen=True)
@@ -123,18 +132,18 @@ def _dot(a: Vec3, b: Vec3) -> Fraction:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _plane_basis(axis: ProjectionAxis) -> tuple[Vec3, Vec3, Vec3]:
-    """Rational basis (u, v, w) with w the axis and (u, v, w) right-handed.
-
-    u and v are orthogonal to w but not normalized; only orientation
-    signs are consumed downstream, so scaling is irrelevant.
-    """
+def _plane_basis(axis: ProjectionAxis) -> tuple[tuple[int, int, int], ...]:
+    """Right-handed basis (u, v, w) with w along the axis, u and v normal
+    to it, each scaled to integers: only signs are consumed downstream."""
     w = axis.direction
     i = min(range(3), key=lambda t: abs(w[t]))
     e = tuple(Fraction(int(t == i)) for t in range(3))
     u = _cross(e, w)
-    v = _cross(w, u)
-    return u, v, w
+    basis = []
+    for vec in (u, _cross(w, u), w):
+        scale = lcm(*(x.denominator for x in vec))
+        basis.append(tuple(int(x * scale) for x in vec))
+    return tuple(basis)
 
 
 def _sub(a: Vec3, b: Vec3) -> Vec3:
@@ -170,77 +179,105 @@ def _segments_meet(seg1: Segment, seg2: Segment) -> bool:
 def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
     """Sign (+1 or -1) of the crossing of two projected segments, 0 if they miss.
 
-    Raises NonGenericProjection on parallel overlaps, endpoint
-    touchings, or a segment projecting to a point; raises
-    CurvesIntersect if the preimages meet in R^3.
+    Division-free, so it runs in integers on integer input, and no positive
+    scaling of the segments or of a basis vector changes it.  Raises
+    NonGenericProjection on parallel overlaps, endpoint touchings, or a
+    segment projecting to a point; raises CurvesIntersect if the
+    preimages meet in R^3.
     """
     u, v, w = basis
     p0, p1 = seg1
     q0, q1 = seg2
-    d1, d2 = _sub(p1, p0), _sub(q1, q0)
+    d1, d2, r = _sub(p1, p0), _sub(q1, q0), _sub(q0, p0)
     a1 = (_dot(d1, u), _dot(d1, v))
     a2 = (_dot(d2, u), _dot(d2, v))
     if a1 == (0, 0) or a2 == (0, 0):
         raise NonGenericProjection("segment parallel to projection axis")
     denom = a1[0] * a2[1] - a1[1] * a2[0]
-    r = (
-        _dot(q0, u) - _dot(p0, u),
-        _dot(q0, v) - _dot(p0, v),
-    )
+    r = (_dot(r, u), _dot(r, v))
     if denom == 0:
         # Parallel projections: collinear overlap is degenerate.
         if r[0] * a1[1] == r[1] * a1[0]:
             raise NonGenericProjection("collinear projected segments")
         return 0
-    s = Fraction(r[0] * a2[1] - r[1] * a2[0], denom)
-    t = Fraction(r[0] * a1[1] - r[1] * a1[0], denom)
-    if s <= 0 or s >= 1 or t <= 0 or t >= 1:
-        if (0 <= s <= 1 and t in (0, 1)) or (0 <= t <= 1 and s in (0, 1)):
+    # The projections meet at parameters s/denom on seg1 and t/denom on
+    # seg2; the sign of a1 x a2 is the crossing's sign with seg1 over.
+    s = r[0] * a2[1] - r[1] * a2[0]
+    t = r[0] * a1[1] - r[1] * a1[0]
+    sign = 1 if denom > 0 else -1
+    denom, s, t = sign * denom, sign * s, sign * t
+    if s <= 0 or s >= denom or t <= 0 or t >= denom:
+        if (0 <= s <= denom and t in (0, denom)) or (0 <= t <= denom and s in (0, denom)):
             raise NonGenericProjection("projected crossing at a vertex")
         return 0
-    h1 = _dot(p0, w) + s * _dot(d1, w)
-    h2 = _dot(q0, w) + t * _dot(d2, w)
+    # Heights along w at the crossing, both times denom > 0.
+    h1 = _dot(p0, w) * denom + s * _dot(d1, w)
+    h2 = _dot(q0, w) * denom + t * _dot(d2, w)
     if h1 == h2:
         raise CurvesIntersect("curves meet in R^3 at a projected crossing")
-    over, under = (a1, a2) if h1 > h2 else (a2, a1)
-    orient = over[0] * under[1] - over[1] * under[0]
-    if orient == 0:
-        raise NonGenericProjection("tangential crossing")
-    return 1 if orient > 0 else -1
+    return sign if h1 > h2 else -sign
+
+
+def _on_one_grid(curves: Sequence[PolyCurve]) -> list[Segment]:
+    """Every segment of the curves, in order, in integers on the lcm of
+    their grids (curves off it are rescaled, by a power of two for floats)."""
+    scale = lcm(*(c._grid[0] for c in curves))
+    segs = []
+    for c in curves:
+        own, verts, _ = c._grid
+        if own != scale:
+            f = scale // own
+            verts = tuple((x * f, y * f, z * f) for x, y, z in verts)
+        segs.extend(zip(verts, verts[1:] + verts[:1]))
+    return segs
 
 
 def _project(points: np.ndarray, basis) -> np.ndarray:
     """Float coordinates of the points in the (u, v) projection plane."""
     import numpy as np
 
-    u, v, _ = basis
-    return points @ np.array([[float(x) for x in u], [float(x) for x in v]]).T
+    rows = [[x / max(map(abs, vec)) for x in vec] for vec in basis[:2]]
+    return points @ np.array(rows).T
 
 
-def _candidate_pairs(pts1: np.ndarray, pts2: np.ndarray) -> np.ndarray:
-    """Index pairs of segments of two closed polylines whose boxes overlap.
+def _box_pairs(arrays: Sequence[np.ndarray]) -> list[tuple[int, int]]:
+    """Pairs a < b of segments whose boxes overlap, on distinct polylines
+    (or, given one polyline, on it), numbered through the set in order.
 
-    Takes the (n, d) float vertex arrays, in any dimension d.  This is a
-    float prefilter: its margin, relative to the largest coordinate,
-    absorbs conversion and projection rounding, so no pair of exactly
-    meeting segments is dropped; exact predicates decide the rest.
+    Takes (n, d) float vertex arrays.  Boxes are sorted by their low end on
+    the widest axis, ``searchsorted`` finds the boxes starting inside each,
+    and those pairs are compared on every axis.  The margin, 1e-7 of the
+    set's largest coordinate, absorbs rounding, so no meeting pair is lost.
     """
     import numpy as np
 
-    margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
-    ends1 = np.stack([pts1, np.roll(pts1, -1, axis=0)])
-    ends2 = np.stack([pts2, np.roll(pts2, -1, axis=0)])
-    lo1, hi1 = ends1.min(axis=0)[:, None], ends1.max(axis=0)[:, None]
-    lo2, hi2 = ends2.min(axis=0)[None], ends2.max(axis=0)[None]
-    return np.argwhere(((lo1 <= hi2 + margin) & (lo2 <= hi1 + margin)).all(axis=2))
+    pts = np.concatenate(arrays)
+    ends = np.concatenate([np.roll(p, -1, axis=0) for p in arrays])
+    owner = np.repeat(np.arange(len(arrays)), [len(p) for p in arrays])
+    lo = np.minimum(pts, ends)
+    hi = np.maximum(pts, ends) + 1e-7 * float(np.abs(pts).max())
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    lo, hi, owner = lo[order], hi[order], owner[order]
+    after = np.arange(1, len(lo) + 1)
+    count = np.searchsorted(lo[:, axis], hi[:, axis], side="right") - after
+    i = np.repeat(after - 1, count)
+    j = np.arange(len(i)) + np.repeat(after - np.cumsum(count) + count, count)
+    keep = ((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)
+    if len(arrays) > 1:
+        keep &= owner[i] != owner[j]
+    a, b = order[i[keep]], order[j[keep]]
+    return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _check_disjoint(segs1, segs2, pts1: np.ndarray, pts2: np.ndarray) -> None:
-    """Raise CurvesIntersect unless two closed polylines, given by their
-    segments and float vertices, are disjoint in R^3 (decided exactly)."""
-    for i, j in _candidate_pairs(pts1, pts2):
-        if _segments_meet(segs1[i], segs2[j]):
+def _check_disjoint(curves: Sequence[PolyCurve]) -> list[Segment]:
+    """Raise CurvesIntersect unless the curves are pairwise disjoint in R^3,
+    decided exactly; return ``_on_one_grid(curves)``."""
+    segs = _on_one_grid(curves)
+    for a, b in _box_pairs([c.as_array() for c in curves]):
+        if _segments_meet(segs[a], segs[b]):
             raise CurvesIntersect("curves meet in R^3; not a valid link")
+    return segs
 
 
 def linking_matrix(
@@ -248,29 +285,26 @@ def linking_matrix(
 ) -> dict[tuple[int, int], int]:
     """Linking number of every pair i < j of the curves, keyed ``(i, j)``.
 
-    Each curve is converted to floats and projected once.  Every pair is
-    first checked disjoint exactly; a linking number is then half the
-    signed crossing count over the pair's candidate segment pairs.
+    The set is checked pairwise disjoint exactly; a linking number is then
+    half the signed crossing count of its pair.  One box sweep over all
+    segments in R^3, and one over their projections, pick the segment pairs
+    for the exact predicates, which run on one integer grid for the set.
+    Each curve converts its vertices to floats and integers once, ever.
     """
+    if len(curves) < 2:
+        return {}
+    segs = _check_disjoint(curves)
     basis = _plane_basis(axis)
-    segs = [c.segments() for c in curves]
-    pts = [c.as_array() for c in curves]
-    flat = [_project(p, basis) for p in pts]
-    matrix = {}
-    for i, j in combinations(range(len(curves)), 2):
-        _check_disjoint(segs[i], segs[j], pts[i], pts[j])
-        total = 0
-        for a, b in _candidate_pairs(flat[i], flat[j]):
-            total += _segment_crossings(segs[i][a], segs[j][b], basis)
-        if total % 2 != 0:
-            raise NonGenericProjection("odd signed crossing count")
-        matrix[i, j] = total // 2
-    return matrix
+    owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
+    totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
+    for a, b in _box_pairs([_project(c.as_array(), basis) for c in curves]):
+        totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis)
+    if any(total % 2 for total in totals.values()):
+        raise NonGenericProjection("odd signed crossing count")
+    return {key: total // 2 for key, total in totals.items()}
 
 
-def linking_number_pl(
-    m: PolyCurve, n: PolyCurve, axis: ProjectionAxis = EZ
-) -> int:
+def linking_number_pl(m: PolyCurve, n: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     """Linking number as half the signed crossing count of the projection."""
     return linking_matrix([m, n], axis)[0, 1]
 
@@ -282,14 +316,11 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     over unordered crossings.
     """
     basis = _plane_basis(axis)
-    segs = curve.segments()
-    nseg = len(segs)
-    pts = _project(curve.as_array(), basis)
+    segs = _on_one_grid([curve])
     total = 0
-    for i, j in _candidate_pairs(pts, pts):
-        if j <= i or j == i + 1 or (i == 0 and j == nseg - 1):
-            continue  # each unordered pair once; adjacent share a vertex
-        total += _segment_crossings(segs[i], segs[j], basis)
+    for i, j in _box_pairs([_project(curve.as_array(), basis)]):
+        if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
+            total += _segment_crossings(segs[i], segs[j], basis)
     return total
 
 
@@ -310,10 +341,9 @@ def gauss_linking_quadrature(
     """Gauss double integral (1/4pi) oint oint det(t1, t2, r) / |r|^3."""
     import numpy as np
 
-    pts1, pts2 = m.as_array(), n.as_array()
-    _check_disjoint(m.segments(), n.segments(), pts1, pts2)
-    x1, t1 = _resample(pts1, subdivisions)
-    x2, t2 = _resample(pts2, subdivisions)
+    _check_disjoint([m, n])
+    x1, t1 = _resample(m.as_array(), subdivisions)
+    x2, t2 = _resample(n.as_array(), subdivisions)
     r = x1[:, None, :] - x2[None, :, :]
     dist = np.sqrt((r * r).sum(axis=2))
     cross = np.cross(t1[:, None, :], t2[None, :, :])
@@ -342,7 +372,7 @@ def connected_sum_pl(
     i1, i2 = band
     if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
         raise ParseError("band vertex index out of range")
-    _check_disjoint(m1.segments(), m2.segments(), m1.as_array(), m2.as_array())
+    _check_disjoint([m1, m2])
     a = m1.vertices[i1:] + m1.vertices[:i1]
     b = m2.vertices[i2:] + m2.vertices[:i2]
     result = PolyCurve(a + b)
@@ -391,12 +421,7 @@ def circle(
 
 
 def curves_to_dict(curves: Sequence[PolyCurve]) -> dict:
-    return {
-        "components": [
-            [[float(x), float(y), float(z)] for x, y, z in c.vertices]
-            for c in curves
-        ]
-    }
+    return {"components": [c.as_array().tolist() for c in curves]}
 
 
 def _finite_float(x: int | float) -> bool:

@@ -2,11 +2,15 @@
 
 Everything here is an independent construction path from the library
 code under test: Gauss codes come from braid closures, curves from
-direct parametrizations.
+direct parametrizations, and crossing signs from a rational-division
+crossing test that shares no code with the library's integer one.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
+from haefliger.errors import CurvesIntersect, NonGenericProjection
 from haefliger.linking import PolyCurve, circle
 
 
@@ -137,3 +141,88 @@ def random_link(rng, min_separation=0.1, max_tries=200):
                 PolyCurve([tuple(p) for p in b]),
             )
     raise RuntimeError("could not sample a separated link")
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def plane_basis_oracle(direction):
+    """Rational (u, v, w): w the direction, u and v orthogonal to it, and
+    (u, v, w) right-handed."""
+    w = tuple(Fraction(x) for x in direction)
+    i = min(range(3), key=lambda t: abs(w[t]))
+    e = tuple(Fraction(int(t == i)) for t in range(3))
+    u = _cross(e, w)
+    return u, _cross(w, u), w
+
+
+def crossing_sign_oracle(seg1, seg2, basis):
+    """Sign (+1 or -1) of the crossing of two projected segments, 0 if they
+    miss, from the crossing parameters s and t as ``Fraction`` quotients.
+
+    Raises NonGenericProjection and CurvesIntersect in the same cases as
+    the library's division-free test.
+    """
+    u, v, w = basis
+    p0, p1 = seg1
+    q0, q1 = seg2
+    d1 = tuple(b - a for a, b in zip(p0, p1))
+    d2 = tuple(b - a for a, b in zip(q0, q1))
+    a1 = (_dot(d1, u), _dot(d1, v))
+    a2 = (_dot(d2, u), _dot(d2, v))
+    if a1 == (0, 0) or a2 == (0, 0):
+        raise NonGenericProjection("segment parallel to projection axis")
+    denom = a1[0] * a2[1] - a1[1] * a2[0]
+    r = (_dot(q0, u) - _dot(p0, u), _dot(q0, v) - _dot(p0, v))
+    if denom == 0:
+        if r[0] * a1[1] == r[1] * a1[0]:
+            raise NonGenericProjection("collinear projected segments")
+        return 0
+    s = Fraction(r[0] * a2[1] - r[1] * a2[0], denom)
+    t = Fraction(r[0] * a1[1] - r[1] * a1[0], denom)
+    if s <= 0 or s >= 1 or t <= 0 or t >= 1:
+        if (0 <= s <= 1 and t in (0, 1)) or (0 <= t <= 1 and s in (0, 1)):
+            raise NonGenericProjection("projected crossing at a vertex")
+        return 0
+    h1 = _dot(p0, w) + s * _dot(d1, w)
+    h2 = _dot(q0, w) + t * _dot(d2, w)
+    if h1 == h2:
+        raise CurvesIntersect("curves meet in R^3 at a projected crossing")
+    over, under = (a1, a2) if h1 > h2 else (a2, a1)
+    return 1 if over[0] * under[1] - over[1] * under[0] > 0 else -1
+
+
+def naive_linking_oracle(m, n, direction=(0, 0, 1)):
+    """Half the signed crossing count over all segment pairs of two curves:
+    no prefilter, no integer grid, no shared crossing bookkeeping."""
+    basis = plane_basis_oracle(direction)
+    total = sum(
+        crossing_sign_oracle(s1, s2, basis)
+        for s1 in m.segments()
+        for s2 in n.segments()
+    )
+    if total % 2:
+        raise NonGenericProjection("odd signed crossing count")
+    return total // 2
+
+
+def dense_box_pairs(pts1, pts2):
+    """Index pairs of segments of two closed polylines whose boxes overlap,
+    by the dense n x m comparison the sweep replaced, with the same margin
+    rule: 1e-7 of the largest coordinate of the two."""
+    margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
+    ends1 = np.stack([pts1, np.roll(pts1, -1, axis=0)])
+    ends2 = np.stack([pts2, np.roll(pts2, -1, axis=0)])
+    lo1, hi1 = ends1.min(axis=0)[:, None], ends1.max(axis=0)[:, None]
+    lo2, hi2 = ends2.min(axis=0)[None], ends2.max(axis=0)[None]
+    overlap = ((lo1 <= hi2 + margin) & (lo2 <= hi1 + margin)).all(axis=2)
+    return {(int(i), int(j)) for i, j in np.argwhere(overlap)}

@@ -68,6 +68,42 @@ def test_writhe_command(capsys, tmp_path):
     assert out == "writhe_0: -1\n"
 
 
+KINK = {"components": [[[0, 0, 0], [2, 2, 0], [2, 0, 1], [0, 2, 1]]]}
+MURAI_OHBA_DIAGRAM = (
+    "{'k': 1, 'm': 2, 'lk': [{'i': 1, 'ei': 0, 'j': 2, 'ej': 0, 'value': 1},"
+    " {'i': 1, 'ei': 1, 'j': 2, 'ej': 1, 'value': 1}], 'writhe': []}"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["lk", "hopf"], "lk: 1\n"),
+        (["lk", "hopf", "--axis", "0.6,0,0.8"], "lk: 1\n"),
+        (["writhe", "kink"], "writhe_0: -1\n"),
+        (["writhe", "hopf"], "writhe_0: 0\nwrithe_1: 0\n"),
+        (["murai-ohba", "hopf"],
+         f"delta_h: 1\ndiagram: {MURAI_OHBA_DIAGRAM}\nswitch: [1]\n"),
+        (["--format", "json", "lk", "hopf"], '{"lk":1}\n'),
+        (["--format", "json", "lk", "hopf", "--axis", "0.6,0,0.8"], '{"lk":1}\n'),
+        (["--format", "json", "writhe", "kink"], '{"writhe_0":-1}\n'),
+        (["--format", "json", "writhe", "hopf"], '{"writhe_0":0,"writhe_1":0}\n'),
+        (["--format", "json", "murai-ohba", "hopf"],
+         '{"delta_h":{"den":1,"num":1},"diagram":{"k":1,"lk":[{"ei":0,"ej":0,"i":1,'
+         '"j":2,"value":1},{"ei":1,"ej":1,"i":1,"j":2,"value":1}],"m":2,"writhe":[]},'
+         '"switch":[1]}\n'),
+    ],
+)
+def test_curve_commands_print_pinned_output(capsys, tmp_path, argv, stdout):
+    # Byte for byte what the rational-division engine printed.
+    kink = tmp_path / "kink.json"
+    kink.write_text(json.dumps(KINK))
+    files = {"hopf": write_hopf(tmp_path), "kink": str(kink)}
+    code, out = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert code == 0
+    assert out == stdout
+
+
 def test_delta_h_command(capsys, tmp_path):
     path = write_generator_diagram(tmp_path)
     code, out = run_cli(capsys, "delta-h", path, "--switch", "1")

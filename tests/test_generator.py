@@ -133,3 +133,26 @@ def test_h_value_follows_the_curves(monkeypatch, reversed_lifts, matches, h):
     report = verify_generator(DEFAULT_PARAMS, n=32)
     assert report.matches_diagram is matches
     assert report.h_value == h
+
+
+# The report of the rational-division engine, which the integer kernel
+# must reproduce exactly: the six unit Hopf entries and Δh = 1 everywhere.
+PINNED_LINKING_MATRIX = {
+    (LiftId(1, 0), LiftId(4, 0)): 1,
+    (LiftId(1, 1), LiftId(6, 1)): 1,
+    (LiftId(2, 0), LiftId(5, 0)): 1,
+    (LiftId(2, 1), LiftId(3, 1)): 1,
+    (LiftId(3, 0), LiftId(6, 0)): 1,
+    (LiftId(4, 1), LiftId(5, 1)): 1,
+}
+
+
+@pytest.mark.parametrize(
+    "alpha, n", [(4, 8), (4, 16), (4, 32), (4, 48), (4, 64), (4, 128), (3, 48)]
+)
+def test_verify_generator_outputs_are_pinned(alpha, n):
+    report = verify_generator(BorromeanParams(alpha=alpha, beta=1), n=n)
+    assert report.linking_matrix == PINNED_LINKING_MATRIX
+    assert report.matches_diagram is True
+    assert report.h_value == Fraction(1)
+    assert report.singleton_deltas == {i: Fraction(1) for i in range(1, 7)}

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haefliger.errors import (
     BandObstructed,
@@ -13,6 +17,9 @@ from haefliger.linking import (
     EZ,
     PolyCurve,
     ProjectionAxis,
+    _box_pairs,
+    _plane_basis,
+    _segment_crossings,
     _segments_meet,
     _to_vec3,
     circle,
@@ -25,21 +32,17 @@ from haefliger.linking import (
     writhe_pl,
 )
 
-from helpers import hopf_link, random_link, torus_link_curves, trefoil_curve
-
-
-def naive_linking_oracle(m, n, axis=EZ):
-    """Independent route: signed crossings over all segment pairs, no
-    prefilter, no shared crossing bookkeeping."""
-    from haefliger.linking import _plane_basis, _segment_crossings
-
-    basis = _plane_basis(axis)
-    total = 0
-    for s1 in m.segments():
-        for s2 in n.segments():
-            total += _segment_crossings(s1, s2, basis)
-    assert total % 2 == 0
-    return total // 2
+from helpers import (
+    crossing_sign_oracle,
+    dense_box_pairs,
+    hopf_link,
+    naive_linking_oracle,
+    plane_basis_oracle,
+    random_link,
+    random_loop,
+    torus_link_curves,
+    trefoil_curve,
+)
 
 
 def robust_axis_lk(m, n, rng):
@@ -186,7 +189,7 @@ def test_against_naive_oracle_and_quadrature(rng):
     for _ in range(10):
         m, n = random_link(rng)
         lk, axis = robust_axis_lk(m, n, rng)
-        assert lk == naive_linking_oracle(m, n, axis)
+        assert lk == naive_linking_oracle(m, n, axis.direction)
         assert abs(gauss_linking_quadrature(m, n, 256) - lk) < 1e-3
 
 
@@ -362,3 +365,163 @@ def test_curves_from_dict_rejects_non_numbers(bad):
     doc = {"components": [[[0, 0, 0], [1, 0, 0], [0, 1, bad]]]}
     with pytest.raises(ParseError, match=r"components\[0\]\[2\]"):
         curves_from_dict(doc)
+
+
+# --- the box sweep ----------------------------------------------------------
+
+
+def assert_sweep_covers_dense(arrays):
+    """Every pair the dense box test keeps is in the sweep's output, which
+    holds only pairs a < b on distinct polylines (or, for one polyline,
+    non-identical segments of it)."""
+    start = np.cumsum([0] + [len(a) for a in arrays])
+    owner = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+    swept = _box_pairs(arrays)
+    assert len(set(swept)) == len(swept)
+    assert all(a < b for a, b in swept)
+    if len(arrays) > 1:
+        assert all(owner[a] != owner[b] for a, b in swept)
+        for k, m in combinations(range(len(arrays)), 2):
+            dense = dense_box_pairs(arrays[k], arrays[m])
+            assert {(start[k] + i, start[m] + j) for i, j in dense} <= set(swept)
+    else:
+        dense = {(i, j) for i, j in dense_box_pairs(arrays[0], arrays[0]) if i < j}
+        assert dense <= set(swept)
+
+
+def test_box_sweep_contains_dense_survivors_on_random_curves(rng):
+    for _ in range(8):
+        arrays = [
+            random_loop(rng, int(rng.integers(3, 40))) + rng.normal(scale=2, size=3)
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        assert_sweep_covers_dense(arrays)
+        assert_sweep_covers_dense([a[:, :2] for a in arrays])
+        for a in arrays:
+            assert_sweep_covers_dense([a])
+            assert_sweep_covers_dense([a[:, 1:]])
+
+
+def test_box_sweep_contains_dense_survivors_on_touching_axis_aligned_boxes():
+    # Unit squares on the integer lattice share edges and corners exactly;
+    # their edges have boxes of zero width, and the vertical edges of the
+    # last curve project to points.
+    squares = [
+        np.array([(x, y, 0), (x + 1, y, 0), (x + 1, y + 1, 0), (x, y + 1, 0)], float)
+        for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (5, 0)]
+    ]
+    post = np.array([(1, 1, 0), (1, 1, 2), (3, 1, 2), (3, 1, 0)], float)
+    arrays = [*squares, post]
+    assert_sweep_covers_dense(arrays)
+    assert_sweep_covers_dense([a[:, :2] for a in arrays])
+    assert_sweep_covers_dense([np.concatenate(squares)])
+    # Boxes exactly one margin apart: 1e-7 of the largest coordinate, 1.
+    gap = [
+        np.array([(-1, 0, 0), (0, 0, 0), (0, 1, 0)], float),
+        np.array([(1e-7, 0, 0), (1, 0, 0), (1, 1, 0)], float),
+    ]
+    assert dense_box_pairs(*gap)
+    assert_sweep_covers_dense(gap)
+
+
+# --- the integer kernel -----------------------------------------------------
+
+
+KERNEL = settings(derandomize=True, max_examples=400, deadline=None)
+
+# Few, partly non-dyadic values: collinear, touching and axis-parallel
+# segments come up often.
+_values = st.sampled_from(
+    [Fraction(x) for x in (-1, 0, 1, 2)]
+    + [Fraction(1, 7), Fraction(1, 3), Fraction(-2, 3), Fraction(1, 2)]
+)
+_points = st.tuples(_values, _values, _values)
+_directions = st.sampled_from([
+    (0, 0, 1), (0, 1, 0), (-1, 0, 0), (0.6, 0, 0.8), (0, -0.8, 0.6),
+    tuple(float(x) for x in np.array([1.0, -2.0, 3.0]) / np.sqrt(14.0)),
+])
+
+
+@st.composite
+def segment_pairs(draw):
+    """Two segments with distinct endpoints.  The second one may start at
+    an endpoint or the midpoint of the first, or pass through its midpoint."""
+    p0 = draw(_points)
+    p1 = draw(_points.filter(lambda q: q != p0))
+    mid = tuple((a + b) / 2 for a, b in zip(p0, p1))
+    kind = draw(st.sampled_from(["free", "free", "touching", "through"]))
+    q0 = draw(st.sampled_from([p0, p1, mid]) if kind == "touching" else _points)
+    q1 = tuple(2 * m - x for m, x in zip(mid, q0))
+    if kind != "through" or q1 == q0:
+        q1 = draw(_points.filter(lambda q: q != q0))
+    return (p0, p1), (q0, q1)
+
+
+def outcome(test, *args):
+    try:
+        return test(*args)
+    except (NonGenericProjection, CurvesIntersect) as exc:
+        return type(exc)
+
+
+def on_grid(*segments):
+    scale = lcm(*(x.denominator for seg in segments for p in seg for x in p))
+    return [tuple(tuple(int(x * scale) for x in p) for p in seg) for seg in segments]
+
+
+@KERNEL
+@given(segment_pairs(), _directions)
+def test_integer_crossing_test_matches_the_rational_oracle(pair, direction):
+    basis = _plane_basis(ProjectionAxis(direction))
+    assert all(type(x) is int for vec in basis for x in vec)
+    expected = outcome(crossing_sign_oracle, *pair, plane_basis_oracle(direction))
+    grid = on_grid(*pair)
+    assert outcome(_segment_crossings, *grid, basis) == expected
+    assert outcome(_segment_crossings, *grid[::-1], basis) == expected
+    assert _segments_meet(*grid) == _segments_meet(*pair)
+
+
+def test_linking_matrix_off_the_dyadic_grid():
+    c1, c2 = hopf_link(16)
+    third = (Fraction(1, 3), 0, 0)
+    tiny = PolyCurve(
+        [(x, y, Fraction(1e-300) if k == 0 else z) for k, (x, y, z) in enumerate(c1.vertices)]
+    )
+    for curves in (
+        [c1.translated(third), c2.translated(third)],
+        [c1.translated(third), c2],  # grids 3 * 2^a and 2^b
+        [tiny, c2],
+        [c2.translated((0, 0, Fraction(1, 7))), tiny, c1.translated((9, 0, 0))],
+    ):
+        expected = {
+            (i, j): naive_linking_oracle(curves[i], curves[j])
+            for i, j in combinations(range(len(curves)), 2)
+        }
+        assert linking_matrix(curves) == expected
+        assert 1 in expected.values()
+
+
+# --- edge cases -------------------------------------------------------------
+
+
+def test_linking_matrix_of_fewer_than_two_curves_is_empty():
+    assert linking_matrix([]) == {}
+    assert linking_matrix([hopf_link(8)[0]]) == {}
+
+
+def test_triangle_has_writhe_zero():
+    assert writhe_pl(PolyCurve([(0, 0, 0), (1, 0, 0), (0, 1, 1)])) == 0
+
+
+def test_cached_conversions_are_read_only_and_not_compared():
+    c1, c2 = hopf_link(16)
+    fresh = PolyCurve(c1.vertices)
+    linking_number_pl(c1, c2)
+    writhe_pl(c1)
+    array = c1.as_array()
+    assert c1.as_array() is array
+    with pytest.raises(ValueError):
+        array[0, 0] = 1.0
+    assert np.array_equal(array, np.array(c1.vertices, dtype=float))
+    assert c1 == fresh and hash(c1) == hash(fresh) and repr(c1) == repr(fresh)
+    assert {c1: 1}[fresh] == 1
