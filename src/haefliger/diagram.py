@@ -51,11 +51,12 @@ class CrossingDiagram:
     components).  ``writhe`` maps lifts to integer writhes, default 0.
 
     Construction checks every invariant, so every instance is valid:
+    k, m, every crossing index, level and value is exactly an ``int``
+    (else :class:`ParseError`, as in the JSON format; bool is refused);
     k >= 1 and m >= 0, and every lift of every key names a crossing in
-    1..m and a level 0/1 (else :class:`IndexOutOfRange`), and every
+    1..m and a level 0/1 (else :class:`IndexOutOfRange`); and every
     ``lk`` key is in canonical order (else :class:`AsymmetricEntry`,
-    since one pair could otherwise be stored twice), and every value is
-    exactly an ``int`` (else :class:`ParseError`, as in the JSON format).
+    since one pair could otherwise be stored twice).
     """
 
     k: int
@@ -64,6 +65,8 @@ class CrossingDiagram:
     writhe: Mapping[LiftId, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int or type(self.m) is not int:
+            raise ParseError(f"k and m must be integers, got k={self.k!r}, m={self.m!r}")
         if self.k < 1:
             raise IndexOutOfRange(f"dimension parameter k={self.k} must be positive")
         if self.m < 0:
@@ -71,10 +74,12 @@ class CrossingDiagram:
         m = self.m
         for key, value in self.lk.items():
             (i, e), (j, f) = key
-            # Both lifts in range, lift_lt(a, b) and an int value, in one
-            # test without calls: every diagram built pays it once per entry.
-            if not (0 < i <= j <= m and e in (0, 1) and f in (0, 1)
-                    and (i < j or e < f) and type(value) is int):
+            # Every field an int, both lifts in range and lift_lt(a, b), in
+            # one test that allocates nothing: every diagram built pays it
+            # once per entry.
+            if not (type(i) is type(j) is type(e) is type(f) is type(value) is int
+                    and 0 < i <= j <= m and e in (0, 1) and f in (0, 1)
+                    and (i < j or e < f)):
                 a, b = key
                 _check_lift(a, m)
                 _check_lift(b, m)
@@ -110,6 +115,8 @@ class CrossingDiagram:
 
 
 def _check_lift(lift: LiftId, m: int) -> None:
+    if type(lift.crossing) is not int or type(lift.level) is not int:
+        raise ParseError(f"crossing and level of {lift!r} must be integers")
     if not 1 <= lift.crossing <= m:
         raise IndexOutOfRange(f"crossing {lift.crossing} outside 1..{m}")
     if lift.level not in (0, 1):

@@ -86,7 +86,7 @@ def _torus_embed(
     y = (ring_radius + disc[:, 0]) * np.sin(theta)
     z = disc[:, 1]
     pts = np.stack([x, y, z], axis=1) + offset
-    return PolyCurve([tuple(p) for p in pts])
+    return PolyCurve(pts.tolist())
 
 
 def _fiber(d0, ring_radius, offset, n) -> PolyCurve:

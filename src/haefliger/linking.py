@@ -12,8 +12,10 @@ test suite:
 Both first decide exactly that the curves are pairwise disjoint.  The
 exact predicates are division-free and run on one integer grid for all
 curves of a call (the lcm of their denominators; a power of two for float
-input).  Floats only serve a box prefilter, one sort-and-sweep over every
-segment of the set.  Each curve converts its vertices once, on first use.
+input).  A curve stores its vertices as such a grid, built once when it
+is constructed; its ``Fraction`` vertices and its float array are made
+on first use.  Floats only serve a box prefilter, one sort-and-sweep over
+every segment of the set.
 
 numpy is imported inside the float functions, not at module level, so
 ``import haefliger`` and the pure-arithmetic commands never load it.
@@ -50,28 +52,69 @@ def _to_vec3(point) -> Vec3:
         raise ParseError(f"bad point {point!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+def _ratio(x) -> tuple[int, int]:
+    """x as a reduced (numerator, denominator > 0), both Python ints: a
+    numpy integer keeps its own type through ``Fraction``."""
+    n, d = Fraction(x).as_integer_ratio()
+    return int(n), int(d)
+
+
+@dataclass(frozen=True, repr=False)
 class PolyCurve:
     """Closed oriented polyline; the vertex list is implicitly closed.
 
-    Coordinates are held exactly (as rationals) so that crossing
-    predicates are error-free.  Their float and integer forms are cached on
-    first use, outside the fields, so equality and hashing are unchanged.
+    Coordinates are held exactly, as one integer grid: the scale D (the lcm
+    of the coordinates' reduced denominators) and every vertex times D as
+    an int triple, so crossing predicates are error-free.  The grid is
+    canonical, so equality and hashing run on it and agree with comparing
+    the rational vertices.  Ints and floats (numpy's float64 included) are
+    read with ``as_integer_ratio``; any other coordinate goes through
+    ``Fraction``, so Fractions, Decimals, numpy integers and numeric
+    strings work too.  ``vertices`` (as Fractions) and the float array are
+    made on first use and cached outside the fields.
     """
 
-    vertices: tuple[Vec3, ...]
+    _scale: int
+    _grid: tuple[tuple[int, int, int], ...]
 
     def __init__(self, points: Iterable) -> None:
-        verts = tuple(_to_vec3(p) for p in points)
-        if len(verts) < 3:
+        ratios = []
+        for point in points:
+            x, y, z = point
+            try:
+                ratios += (
+                    x.as_integer_ratio() if isinstance(x, (float, int)) else _ratio(x),
+                    y.as_integer_ratio() if isinstance(y, (float, int)) else _ratio(y),
+                    z.as_integer_ratio() if isinstance(z, (float, int)) else _ratio(z),
+                )
+            except (ValueError, OverflowError) as exc:  # NaN, an infinity, a bad string
+                raise ParseError(f"bad point {point!r}: {exc}") from exc
+        if len(ratios) < 9:
             raise ParseError("a closed curve needs at least 3 vertices")
-        for a, b in zip(verts, verts[1:] + verts[:1]):
+        dens = {d for _, d in ratios}
+        scale = lcm(*dens)
+        factor = {d: scale // d for d in dens}
+        ints = [n * factor[d] for n, d in ratios]
+        grid = tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
+        for a, b in zip(grid, grid[1:] + grid[:1]):
             if a == b:
                 raise ParseError("consecutive vertices coincide")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_grid", grid)
+
+    def __repr__(self) -> str:
+        return f"PolyCurve(vertices={self.vertices!r})"
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._grid)
+
+    @cached_property
+    def vertices(self) -> tuple[Vec3, ...]:
+        """The vertices as exact Fractions, made once on first use."""
+        d = self._scale
+        return tuple(
+            (Fraction(x, d), Fraction(y, d), Fraction(z, d)) for x, y, z in self._grid
+        )
 
     def segments(self) -> list[tuple[Vec3, Vec3]]:
         v = self.vertices
@@ -88,19 +131,17 @@ class PolyCurve:
 
     def as_array(self) -> np.ndarray:
         """The vertices as an (n, 3) float array, converted once and read-only."""
-        return self._grid[2]
+        return self._array
 
     @cached_property
-    def _grid(self) -> tuple[int, tuple[tuple[int, int, int], ...], np.ndarray]:
-        """(D, vertices times D as ints, as floats), D the denominators' lcm."""
+    def _array(self) -> np.ndarray:
+        # int / int rounds once, so each float is the coordinate's nearest.
         import numpy as np
 
-        ratios = [x.as_integer_ratio() for p in self.vertices for x in p]
-        scale = lcm(*{d for _, d in ratios})
-        ints = [n * (scale // d) for n, d in ratios]
-        floats = np.array([n / d for n, d in ratios]).reshape(-1, 3)
+        d = self._scale
+        floats = np.array([x / d for p in self._grid for x in p]).reshape(-1, 3)
         floats.flags.writeable = False
-        return scale, tuple(zip(ints[0::3], ints[1::3], ints[2::3])), floats
+        return floats
 
 
 @dataclass(frozen=True)
@@ -181,9 +222,9 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
 
     Division-free, so it runs in integers on integer input, and no positive
     scaling of the segments or of a basis vector changes it.  Raises
-    NonGenericProjection on parallel overlaps, endpoint touchings, or a
-    segment projecting to a point; raises CurvesIntersect if the
-    preimages meet in R^3.
+    NonGenericProjection on collinear projections that share a point,
+    endpoint touchings, or a segment projecting to a point; raises
+    CurvesIntersect if the preimages meet in R^3.
     """
     u, v, w = basis
     p0, p1 = seg1
@@ -196,9 +237,13 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
     denom = a1[0] * a2[1] - a1[1] * a2[0]
     r = (_dot(r, u), _dot(r, v))
     if denom == 0:
-        # Parallel projections: collinear overlap is degenerate.
-        if r[0] * a1[1] == r[1] * a1[0]:
-            raise NonGenericProjection("collinear projected segments")
+        if r[0] * a1[1] != r[1] * a1[0]:
+            return 0  # parallel, on distinct lines
+        # Collinear: compare the intervals along a1, seg1 spanning [0, |a1|^2].
+        t0 = r[0] * a1[0] + r[1] * a1[1]
+        t1 = t0 + a2[0] * a1[0] + a2[1] * a1[1]
+        if max(min(t0, t1), 0) <= min(max(t0, t1), a1[0] * a1[0] + a1[1] * a1[1]):
+            raise NonGenericProjection("collinear projected segments meet")
         return 0
     # The projections meet at parameters s/denom on seg1 and t/denom on
     # seg2; the sign of a1 x a2 is the crossing's sign with seg1 over.
@@ -221,12 +266,12 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
 def _on_one_grid(curves: Sequence[PolyCurve]) -> list[Segment]:
     """Every segment of the curves, in order, in integers on the lcm of
     their grids (curves off it are rescaled, by a power of two for floats)."""
-    scale = lcm(*(c._grid[0] for c in curves))
+    scale = lcm(*(c._scale for c in curves))
     segs = []
     for c in curves:
-        own, verts, _ = c._grid
-        if own != scale:
-            f = scale // own
+        verts = c._grid
+        if c._scale != scale:
+            f = scale // c._scale
             verts = tuple((x * f, y * f, z * f) for x, y, z in verts)
         segs.extend(zip(verts, verts[1:] + verts[:1]))
     return segs
@@ -289,7 +334,8 @@ def linking_matrix(
     half the signed crossing count of its pair.  One box sweep over all
     segments in R^3, and one over their projections, pick the segment pairs
     for the exact predicates, which run on one integer grid for the set.
-    Each curve converts its vertices to floats and integers once, ever.
+    Each curve holds its integer grid from construction and converts it to
+    floats once, ever.
     """
     if len(curves) < 2:
         return {}
@@ -417,7 +463,7 @@ def circle(
     v = np.cross(w, u)
     angles = phase + 2.0 * np.pi * np.arange(n) / n
     pts = c + radius * (np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v)
-    return PolyCurve([tuple(p) for p in pts])
+    return PolyCurve(pts.tolist())
 
 
 def curves_to_dict(curves: Sequence[PolyCurve]) -> dict:

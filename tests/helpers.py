@@ -165,6 +165,10 @@ def plane_basis_oracle(direction):
     return u, _cross(w, u), w
 
 
+def _in_box(p, a, b):
+    return all(min(x, y) <= z <= max(x, y) for z, x, y in zip(p, a, b))
+
+
 def crossing_sign_oracle(seg1, seg2, basis):
     """Sign (+1 or -1) of the crossing of two projected segments, 0 if they
     miss, from the crossing parameters s and t as ``Fraction`` quotients.
@@ -185,7 +189,14 @@ def crossing_sign_oracle(seg1, seg2, basis):
     r = (_dot(q0, u) - _dot(p0, u), _dot(q0, v) - _dot(p0, v))
     if denom == 0:
         if r[0] * a1[1] == r[1] * a1[0]:
-            raise NonGenericProjection("collinear projected segments")
+            # Collinear: they share a point iff an endpoint of one lies
+            # in the other, a box test on the line they share.
+            ends1 = [(_dot(p, u), _dot(p, v)) for p in seg1]
+            ends2 = [(_dot(p, u), _dot(p, v)) for p in seg2]
+            if any(_in_box(p, *ends2) for p in ends1) or any(
+                _in_box(p, *ends1) for p in ends2
+            ):
+                raise NonGenericProjection("collinear projected segments meet")
         return 0
     s = Fraction(r[0] * a2[1] - r[1] * a2[0], denom)
     t = Fraction(r[0] * a1[1] - r[1] * a1[0], denom)

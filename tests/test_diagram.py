@@ -87,12 +87,25 @@ L = LiftId
         ({"lk": {(L(1, 0), L(2, 0)): "1"}}, ParseError),
         ({"writhe": {L(1, 0): 0.5}}, ParseError),
         ({"writhe": {L(1, 0): True}}, ParseError),
+        ({"k": 1.5, "m": 2.5}, ParseError),
+        ({"k": 1.0}, ParseError),
+        ({"k": True}, ParseError),
+        ({"m": 2.0}, ParseError),
+        ({"lk": {(L(1, 0), L(2.0, True)): 1}}, ParseError),
+        ({"lk": {(L(1.0, 0), L(2, 0)): 1}}, ParseError),
+        ({"lk": {(L(1, 0), L(2, 1.0)): 1}}, ParseError),
+        ({"lk": {(L(1, False), L(2, 0)): 1}}, ParseError),
+        ({"writhe": {L(1.0, 0): 1}}, ParseError),
+        ({"writhe": {L(1, True): 1}}, ParseError),
     ],
     ids=["k=0", "m=-1", "crossing>m", "crossing=0", "level=2", "level=-1",
          "same crossing level=2", "writhe crossing>m", "writhe level=2",
          "key reversed", "levels reversed", "identical lifts",
          "lk float", "lk Fraction", "lk bool", "lk str",
-         "writhe float", "writhe bool"],
+         "writhe float", "writhe bool",
+         "k, m float", "k float", "k bool", "m float",
+         "lift float and bool", "crossing float", "level float", "level bool",
+         "writhe crossing float", "writhe level bool"],
 )
 def test_construction_checks_every_invariant(fields, error):
     with pytest.raises(error):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -242,6 +243,25 @@ def test_non_generic_projection_rejected():
         linking_number_pl(m, n)
 
 
+def _collinear_pair(gap):
+    # The two base edges project into one line along EZ, `gap` apart.
+    m = PolyCurve([(0, 0, 0), (1, 0, 0), (0.5, -1, 0)])
+    n = PolyCurve([(1 + gap, 0, 1), (2, 0, 1), (1.5, 1, 1)])
+    return m, n
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-3])
+def test_collinear_projections_apart_are_decided_whatever_the_margin(gap):
+    # 1e-9 lies inside the box prefilter's margin, 1e-3 outside it.
+    assert linking_number_pl(*_collinear_pair(gap)) == 0
+
+
+@pytest.mark.parametrize("gap", [0, -0.5], ids=["touching", "overlapping"])
+def test_collinear_projections_that_meet_are_refused(gap):
+    with pytest.raises(NonGenericProjection):
+        linking_number_pl(*_collinear_pair(gap))
+
+
 def test_writhe_of_planar_convex_polygon():
     square = PolyCurve([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
     assert writhe_pl(square) == 0
@@ -355,6 +375,8 @@ def test_curves_round_trip():
     doc = curves_to_dict([c1, c2])
     back = curves_from_dict(doc)
     assert len(back) == 2
+    assert back == [c1, c2]
+    assert back[0].vertices[0] == tuple(Fraction(x) for x in doc["components"][0][0])
     assert linking_number_pl(back[0], back[1]) == 1
     with pytest.raises(ParseError):
         curves_from_dict({"nope": []})
@@ -436,6 +458,7 @@ _values = st.sampled_from(
     + [Fraction(1, 7), Fraction(1, 3), Fraction(-2, 3), Fraction(1, 2)]
 )
 _points = st.tuples(_values, _values, _values)
+_stretches = st.sampled_from([Fraction(x) for x in (-2, -1, -1 / 2, 0, 1 / 2, 1, 3 / 2, 2, 3)])
 _directions = st.sampled_from([
     (0, 0, 1), (0, 1, 0), (-1, 0, 0), (0.6, 0, 0.8), (0, -0.8, 0.6),
     tuple(float(x) for x in np.array([1.0, -2.0, 3.0]) / np.sqrt(14.0)),
@@ -445,11 +468,18 @@ _directions = st.sampled_from([
 @st.composite
 def segment_pairs(draw):
     """Two segments with distinct endpoints.  The second one may start at
-    an endpoint or the midpoint of the first, or pass through its midpoint."""
+    an endpoint or the midpoint of the first, pass through its midpoint, or
+    lie on its line, possibly lifted along z (collinear in projection along
+    EZ), overlapping it, touching it or apart."""
     p0 = draw(_points)
     p1 = draw(_points.filter(lambda q: q != p0))
     mid = tuple((a + b) / 2 for a, b in zip(p0, p1))
-    kind = draw(st.sampled_from(["free", "free", "touching", "through"]))
+    kind = draw(st.sampled_from(["free", "free", "touching", "through", "collinear"]))
+    if kind == "collinear":
+        a, b = draw(st.lists(_stretches, min_size=2, max_size=2, unique=True))
+        lift = (0, 0, draw(st.sampled_from([0, 1])))
+        q0, q1 = (tuple(x + c * (y - x) + h for x, y, h in zip(p0, p1, lift)) for c in (a, b))
+        return (p0, p1), (q0, q1)
     q0 = draw(st.sampled_from([p0, p1, mid]) if kind == "touching" else _points)
     q1 = tuple(2 * m - x for m, x in zip(mid, q0))
     if kind != "through" or q1 == q0:
@@ -511,6 +541,54 @@ def test_linking_matrix_of_fewer_than_two_curves_is_empty():
 
 def test_triangle_has_writhe_zero():
     assert writhe_pl(PolyCurve([(0, 0, 0), (1, 0, 0), (0, 1, 1)])) == 0
+
+
+_TYPED_VALUES = [0, 1, -3, 0.1, -2.5, 1 / 3, 1e-300, -1e300, 1e300, 7.0]
+
+
+@st.composite
+def typed_coordinates(draw):
+    """A coordinate as int, np.int64, float, np.float64, Fraction or Decimal."""
+    x = draw(st.sampled_from(_TYPED_VALUES) | st.floats(-1e3, 1e3) | st.integers(-10**30, 10**30))
+    kinds = [Fraction, Decimal]
+    if isinstance(x, float):
+        kinds += [float, np.float64]
+    else:
+        kinds += [int] + ([np.int64] if abs(x) < 2**63 else [])
+    return draw(st.sampled_from(kinds))(x)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(typed_coordinates(), typed_coordinates(), typed_coordinates()),
+                min_size=3, max_size=6))
+def test_every_coordinate_type_builds_the_curve_of_its_fractions(points):
+    exact = [tuple(Fraction(x) for x in p) for p in points]
+    try:
+        reference = PolyCurve(exact)
+    except ParseError:
+        with pytest.raises(ParseError):
+            PolyCurve(points)
+        return
+    curve = PolyCurve(points)
+    assert all(type(x) is int for p in curve._grid for x in p)
+    assert curve == reference and hash(curve) == hash(reference)
+    assert curve.vertices == tuple(exact)
+    assert all(type(x) is Fraction for p in curve.vertices for x in p)
+    assert repr(curve) == repr(reference)
+    assert np.array_equal(curve.as_array(), np.array(exact, dtype=float))
+    partner = PolyCurve([(-1, -1, 0.5), (2, -1, 0.5), (2, 2, 0.5), (-1, 2, 0.5)])
+    assert outcome(linking_matrix, [curve, partner]) == outcome(
+        linking_matrix, [reference, partner]
+    )
+
+
+def test_polycurve_is_immutable():
+    c = hopf_link(8)[0]
+    c.as_array()
+    for name in ("vertices", "_grid", "_scale", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    assert c == PolyCurve(c.vertices)
 
 
 def test_cached_conversions_are_read_only_and_not_compared():
