@@ -7,92 +7,78 @@ constructs the explicit six-crossing generator, and computes the
 classical order-2 knot invariant the calculus generalizes.
 """
 
-from .diagram import (
-    CrossingDiagram,
-    LiftId,
-    crossing_change,
-    diagram_from_dict,
-    diagram_to_dict,
-    make_diagram,
-)
-from .linking import (
-    PolyCurve,
-    ProjectionAxis,
-    circle,
-    connected_sum_pl,
-    curves_from_dict,
-    curves_to_dict,
-    gauss_linking_quadrature,
-    linking_matrix,
-    linking_number_pl,
-    writhe_pl,
-)
-from .calculus import (
-    HomotopyEvent,
-    delta_h_full,
-    delta_h_reduced,
-    e_invariant,
-    e_jump,
-    i_x_dirac,
-    jacobian_det,
-    murai_ohba_certificate,
-    smale_from_h,
-    v_alternating,
-)
-from .generator import (
-    BorromeanParams,
-    generator_diagram,
-    generator_double_point_curves,
-    verify_generator,
-)
-from .classical import (
-    GaussDiagramK,
-    conway_a2_oracle,
-    descending_set,
-    parse_gauss_code,
-    switch,
-    v2,
-    x_pairing,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BorromeanParams",
-    "CrossingDiagram",
-    "GaussDiagramK",
-    "HomotopyEvent",
-    "LiftId",
-    "PolyCurve",
-    "ProjectionAxis",
-    "circle",
-    "connected_sum_pl",
-    "conway_a2_oracle",
-    "crossing_change",
-    "curves_from_dict",
-    "curves_to_dict",
-    "delta_h_full",
-    "delta_h_reduced",
-    "descending_set",
-    "diagram_from_dict",
-    "diagram_to_dict",
-    "e_invariant",
-    "e_jump",
-    "gauss_linking_quadrature",
-    "generator_diagram",
-    "generator_double_point_curves",
-    "i_x_dirac",
-    "jacobian_det",
-    "linking_matrix",
-    "linking_number_pl",
-    "make_diagram",
-    "murai_ohba_certificate",
-    "parse_gauss_code",
-    "smale_from_h",
-    "switch",
-    "v2",
-    "v_alternating",
-    "verify_generator",
-    "writhe_pl",
-    "x_pairing",
-]
+# Each public name and the submodule that defines it.  A name is imported
+# on first access (PEP 562), so ``import haefliger`` loads no submodule
+# and a CLI command loads only the modules it runs.
+_SUBMODULES: dict[str, tuple[str, ...]] = {
+    "diagram": (
+        "CrossingDiagram",
+        "LiftId",
+        "crossing_change",
+        "diagram_from_dict",
+        "diagram_to_dict",
+        "make_diagram",
+    ),
+    "linking": (
+        "PolyCurve",
+        "ProjectionAxis",
+        "circle",
+        "connected_sum_pl",
+        "curves_from_dict",
+        "curves_to_dict",
+        "gauss_linking_quadrature",
+        "linking_matrix",
+        "linking_number_pl",
+        "writhe_pl",
+    ),
+    "calculus": (
+        "HomotopyEvent",
+        "delta_h_full",
+        "delta_h_reduced",
+        "e_invariant",
+        "e_jump",
+        "i_x_dirac",
+        "jacobian_det",
+        "murai_ohba_certificate",
+        "smale_from_h",
+        "v_alternating",
+    ),
+    "generator": (
+        "BorromeanParams",
+        "generator_diagram",
+        "generator_double_point_curves",
+        "verify_generator",
+    ),
+    "classical": (
+        "GaussDiagramK",
+        "conway_a2_oracle",
+        "descending_set",
+        "parse_gauss_code",
+        "switch",
+        "v2",
+        "x_pairing",
+    ),
+    "errors": (),  # resolves haefliger.errors; its classes are not re-exported
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,14 +10,22 @@ A crossing change only swaps the two levels of each switched crossing,
 so the switched diagram's signed pair sum is read from the original
 diagram with those levels flipped: no switched diagram is ever built.
 `v_alternating` walks all 2^r subsets in Gray-code order, O(r) each,
-after one pass over the diagram (see `_subset_values`).
+after one pass over the diagram (see `_straddles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Iterator, Literal, Sequence, get_args
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Iterable,
+    Iterator,
+    Literal,
+    Sequence,
+    get_args,
+)
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import (
@@ -26,7 +34,9 @@ from .errors import (
     InconsistentEvent,
     IndexOutOfRange,
 )
-from .linking import PolyCurve, ProjectionAxis, EZ, linking_number_pl
+
+if TYPE_CHECKING:
+    from .linking import PolyCurve, ProjectionAxis
 
 
 def _signed_pair_sum(
@@ -82,10 +92,10 @@ def i_x_dirac(d: CrossingDiagram) -> Fraction:
     return Fraction(_signed_pair_sum(d), 2) + Fraction(w, 4)
 
 
-def _subset_values(
-    h0: Fraction | int, d: CrossingDiagram, indices: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (S, h0 - delta_h(d, S)) for every subset S of the given crossings.
+def _straddles(
+    d: CrossingDiagram, indices: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (S, 2 delta_h(d, S)) for every subset S of the given crossings.
 
     Subsets come in Gray-code order, each one crossing from the last;
     the members of each S keep the order of ``indices``.  One pass over
@@ -113,16 +123,24 @@ def _subset_values(
                 row[x] += value
                 if y is not None:
                     block[x][y] += value
-    h0 = Fraction(h0)
     inside = [False] * len(idx)
     straddle = 0
-    yield (), h0
+    yield (), 0
     for step in range(1, 2 ** len(idx)):
         t = (step & -step).bit_length() - 1
         change = row[t] - 2 * sum(c for c, s in zip(block[t], inside) if s)
         inside[t] = not inside[t]
         straddle += change if inside[t] else -change
-        yield tuple(i for i, s in zip(idx, inside) if s), h0 - Fraction(straddle, 2)
+        yield tuple(i for i, s in zip(idx, inside) if s), straddle
+
+
+def _subset_values(
+    h0: Fraction | int, d: CrossingDiagram, indices: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (S, h0 - delta_h(d, S)) for every subset S, as ``_straddles``."""
+    h0 = Fraction(h0)
+    for s, straddle in _straddles(d, indices):
+        yield s, h0 - Fraction(straddle, 2)
 
 
 def v_alternating(
@@ -133,12 +151,15 @@ def v_alternating(
     Sums (-1)^|S| u(f_S) over all 2^r subsets S of the given crossings,
     where u(f_S) = h0 - delta_h(d, S).  The base value h0 cancels as
     soon as the index list is nonempty; vanishing for 3 indices is the
-    order-2 property.  Every subset is evaluated: O(nnz + r 2^r).
+    order-2 property.  Every subset is evaluated: O(nnz + r 2^r), on
+    integers, with one ``Fraction`` at the end.
     """
-    return sum(
-        ((-1) ** len(s) * u for s, u in _subset_values(h0, d, indices)),
-        Fraction(0),
-    )
+    signs = straddles = 0
+    for s, straddle in _straddles(d, indices):
+        sign = -1 if len(s) % 2 else 1
+        signs += sign
+        straddles += sign * straddle
+    return signs * Fraction(h0) - Fraction(straddles, 2)
 
 
 def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:
@@ -220,7 +241,7 @@ def smale_from_h(h: Fraction | int) -> Fraction:
 
 
 def murai_ohba_certificate(
-    l0: PolyCurve, l1: PolyCurve, axis: ProjectionAxis = EZ
+    l0: PolyCurve, l1: PolyCurve, axis: ProjectionAxis | None = None
 ) -> tuple[CrossingDiagram, set[int], Fraction]:
     """Single-crossing-change unknotting certificate from a 2-component link.
 
@@ -228,9 +249,12 @@ def murai_ohba_certificate(
     separated copies of the input link (same-level linking numbers equal
     to lk(l0, l1), mixed levels split) and returns it together with the
     switch set {1} and the resulting invariant difference, which equals
-    the linking number of the input link.
+    the linking number of the input link.  ``axis`` defaults to ``EZ``.
     """
-    n = linking_number_pl(l0, l1, axis)
+    # Imported here, its one use, so the exact commands never load linking.
+    from .linking import EZ, linking_number_pl
+
+    n = linking_number_pl(l0, l1, EZ if axis is None else axis)
     d = make_diagram(
         k=1,
         m=2,

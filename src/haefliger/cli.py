@@ -4,6 +4,10 @@ Subcommands mirror the library operations one-to-one; all invariant
 values are printed as exact rationals (``{"num": .., "den": ..}`` in
 JSON mode), never floats.  Output is deterministic: keys sorted, fixed
 formatting.
+
+Each command imports the library modules it runs when it runs, so a call
+loads only those: ``v2`` never loads the linking engine, and the exact
+commands never load numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import calculus, classical, diagram, generator, linking
+# The e-jump parser's choices come from calculus, which imports diagram.
+from . import calculus, diagram
 from .errors import (
     AsymmetricEntry,
     BandObstructed,
@@ -31,6 +37,9 @@ from .errors import (
     NonRealizable,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    from . import linking
 
 EXIT_CODES = {
     ParseError: 2,
@@ -99,6 +108,8 @@ def _load_json(path: str) -> dict:
 
 
 def _axis(arg: str | None) -> linking.ProjectionAxis:
+    from . import linking
+
     if arg is None:
         return linking.EZ
     parts = arg.split(",")
@@ -121,6 +132,14 @@ def _integer(arg: str) -> int:
     return int(arg)
 
 
+def _count(arg: str) -> int:
+    """Type of the count options: an integer >= 0."""
+    value = _integer(arg)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {arg!r}")
+    return value
+
+
 def _indices(arg: str) -> list[int]:
     items = [x for x in arg.split(",") if x]
     if not all(_INTEGER.fullmatch(x) for x in items):
@@ -136,6 +155,8 @@ def _fraction(arg: str) -> Fraction:
 
 
 def _two_curves(path: str) -> tuple[linking.PolyCurve, linking.PolyCurve]:
+    from . import linking
+
     curves = linking.curves_from_dict(_load_json(path))
     if len(curves) != 2:
         raise ParseError(f"{path}: expected exactly 2 components")
@@ -143,6 +164,8 @@ def _two_curves(path: str) -> tuple[linking.PolyCurve, linking.PolyCurve]:
 
 
 def _cmd_lk(args) -> dict:
+    from . import linking
+
     m, n = _two_curves(args.curves)
     result = {"lk": linking.linking_number_pl(m, n, _axis(args.axis))}
     if args.quadrature:
@@ -153,6 +176,8 @@ def _cmd_lk(args) -> dict:
 
 
 def _cmd_writhe(args) -> dict:
+    from . import linking
+
     curves = linking.curves_from_dict(_load_json(args.curves))
     axis = _axis(args.axis)
     return {
@@ -199,6 +224,8 @@ def _cmd_e_jump(args) -> dict:
 
 
 def _cmd_generator(args) -> dict:
+    from . import generator, linking
+
     result: dict = {
         "diagram": diagram.diagram_to_dict(generator.generator_diagram(args.k))
     }
@@ -216,6 +243,8 @@ def _cmd_generator(args) -> dict:
 
 
 def _cmd_v2(args) -> dict:
+    from . import classical
+
     code = _read_text(args.code) if args.file else args.code
     g = classical.parse_gauss_code(code)
     result: dict = {"v2": classical.v2(g)}
@@ -256,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves")
     p.add_argument("--axis", help="projection axis as x,y,z (default 0,0,1)")
     p.add_argument(
-        "--quadrature", type=_integer, default=0, metavar="N",
+        "--quadrature", type=_count, default=0, metavar="N",
         help="also report the Gauss integral with N subdivisions",
     )
     p.set_defaults(func=_cmd_lk)

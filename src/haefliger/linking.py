@@ -35,7 +35,13 @@ from itertools import combinations
 from math import isfinite, lcm, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import BandObstructed, CurvesIntersect, NonGenericProjection, ParseError
+from .errors import (
+    BandObstructed,
+    CurvesIntersect,
+    InvalidParams,
+    NonGenericProjection,
+    ParseError,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -374,7 +380,7 @@ def _resample(verts: np.ndarray, subdivisions: int) -> tuple[np.ndarray, np.ndar
     """Midpoints and tangent*dl arrays with roughly `subdivisions` samples."""
     import numpy as np
 
-    per_seg = max(1, -(-subdivisions // len(verts)))
+    per_seg = -(-subdivisions // len(verts))
     t = (np.arange(per_seg) + 0.5) / per_seg
     step = np.roll(verts, -1, axis=0) - verts
     mids = verts[:, None, :] + t[None, :, None] * step[:, None, :]
@@ -384,9 +390,15 @@ def _resample(verts: np.ndarray, subdivisions: int) -> tuple[np.ndarray, np.ndar
 def gauss_linking_quadrature(
     m: PolyCurve, n: PolyCurve, subdivisions: int = 128
 ) -> float:
-    """Gauss double integral (1/4pi) oint oint det(t1, t2, r) / |r|^3."""
+    """Gauss double integral (1/4pi) oint oint det(t1, t2, r) / |r|^3.
+
+    ``subdivisions`` (an int >= 1) is the least number of samples per
+    curve; each segment gets the same share, rounded up.
+    """
     import numpy as np
 
+    if type(subdivisions) is not int or subdivisions < 1:
+        raise InvalidParams(f"subdivisions must be an int >= 1, not {subdivisions!r}")
     _check_disjoint([m, n])
     x1, t1 = _resample(m.as_array(), subdivisions)
     x2, t2 = _resample(n.as_array(), subdivisions)

@@ -121,6 +121,20 @@ def test_subset_values_match_built_switched_diagrams(rng):
     assert same_crossing and between_chosen
 
 
+def test_v_alternating_is_the_signed_sum_of_subset_values(rng):
+    for r in range(9):
+        for _ in range(6):
+            d = random_diagram(rng, m_min=r, m_max=9)
+            idx = [int(i) for i in rng.permutation(range(1, d.m + 1))[:r]]
+            h0 = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+            signed = sum(((-1) ** len(s) * u
+                          for s, u in calculus._subset_values(h0, d, idx)),
+                         Fraction(0))
+            value = v_alternating(h0, d, idx)
+            assert type(value) is Fraction
+            assert value == signed
+
+
 def test_v_alternating_of_no_indices_is_h0():
     assert v_alternating(Fraction(-7, 3), generator_diagram(1), []) == Fraction(-7, 3)
 

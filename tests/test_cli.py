@@ -408,3 +408,60 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path):
         assert not numpy_loaded, argv
     # The probe does see numpy when a float command loads it.
     assert _run_in_fresh_process("lk", write_hopf(tmp_path)) == (0, "lk: 1\n", True)
+
+
+# Runs one CLI call in a fresh interpreter, then reports on stderr the
+# haefliger submodules it loaded, as a JSON list.
+_MODULES_PROBE = (
+    "import json, sys\n"
+    "from haefliger.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(json.dumps(sorted(n.split('.')[1] for n in sys.modules\n"
+    "                        if n.startswith('haefliger.'))), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path):
+    gen = write_generator_diagram(tmp_path)
+    hopf = write_hopf(tmp_path)
+    geometric = {"linking", "generator"}
+    commands = [
+        (["v2", "O1+U2+O3+U1+O2+U3+", "--verbose"], geometric),
+        (["jacobian", "--k", "2"], geometric | {"classical"}),
+        (["e-jump", "--kind", "triple_point", "--pattern", "all_distinct"],
+         geometric | {"classical"}),
+        (["delta-h", gen, "--switch", "1,2"], geometric | {"classical"}),
+        (["vfinite", gen, "--indices", "1,2,3", "--verbose"], geometric | {"classical"}),
+        (["lk", hopf], {"classical", "generator"}),
+        (["writhe", hopf], {"classical", "generator"}),
+        (["murai-ohba", hopf], {"classical", "generator"}),
+        (["generator", "--k", "1"], {"classical"}),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, never in commands:
+        argv = ["--format", "json", *argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert proc.returncode == 0, argv
+        assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv), argv
+        assert {"cli", "calculus", "diagram", "errors"} <= loaded, argv
+        assert not loaded & never, (argv, loaded)
+
+
+def test_lk_quadrature_count_must_not_be_negative(capsys, tmp_path):
+    hopf = write_hopf(tmp_path)
+    for count in ("-5", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["lk", hopf, "--quadrature", count])
+        assert exc.value.code == 2
+        assert "not a non-negative integer" in capsys.readouterr().err
+    # 0 still means no quadrature; 1 is one sample per segment.
+    assert run_cli(capsys, "lk", hopf, "--quadrature", "0") == (0, "lk: 1\n")
+    code, out = run_cli(capsys, "--format", "json", "lk", hopf, "--quadrature", "1")
+    assert code == 0
+    assert abs(json.loads(out)["quadrature"] - 1.0) < 0.1

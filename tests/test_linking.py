@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from haefliger.errors import (
     BandObstructed,
     CurvesIntersect,
+    InvalidParams,
     NonGenericProjection,
     ParseError,
 )
@@ -283,6 +284,19 @@ def test_quadrature_symmetry():
     backward = gauss_linking_quadrature(c2, c1, 200)
     assert abs(forward - backward) < 1e-9
     assert abs(forward - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("count", [0, -5, 2.5, 64.0, True, "64", None])
+def test_quadrature_refuses_a_bad_subdivision_count(count):
+    c1, c2 = hopf_link()
+    with pytest.raises(InvalidParams):
+        gauss_linking_quadrature(c1, c2, count)
+
+
+def test_quadrature_with_one_subdivision():
+    # Fewer samples than vertices: one midpoint per segment.
+    c1, c2 = hopf_link()
+    assert gauss_linking_quadrature(c1, c2, 1) == gauss_linking_quadrature(c1, c2, 48)
 
 
 def test_connected_sum_simple_additivity(rng):

@@ -29,3 +29,66 @@ def test_library_uses_no_private_fraction_api():
         or (isinstance(node, ast.Name) and node.id in private)
     ]
     assert found == []
+
+
+def module_level_numpy_imports(tree: ast.Module) -> list[int]:
+    """Lines of numpy imports that run on import, outside ``if TYPE_CHECKING:``.
+
+    Function bodies run only when called, so they are not searched;
+    class bodies, ``if``, ``try`` and ``with`` blocks run on import.
+    """
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                found.append(node.lineno)
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(tree.body)
+    return found
+
+
+def test_library_imports_numpy_only_where_it_is_used():
+    # Importing a module must not load numpy: the exact commands and
+    # `import haefliger` stay free of it.  Float code imports it inside.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in module_level_numpy_imports(
+            ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_numpy_import_rule_sees_every_import_form():
+    flagged = (
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "import os, numpy.random\n"
+        "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+        "class A:\n    import numpy\n"
+        "if not TYPE_CHECKING:\n    import numpy\n"
+    )
+    allowed = (
+        "from typing import TYPE_CHECKING\n"
+        "import numpyish\n"
+        "if TYPE_CHECKING:\n    import numpy as np\n"
+        "def f():\n    import numpy as np\n"
+        "async def g():\n    from numpy import linalg\n"
+    )
+    assert module_level_numpy_imports(ast.parse(flagged)) == [1, 2, 3, 5, 9, 11]
+    assert module_level_numpy_imports(ast.parse(allowed)) == []
