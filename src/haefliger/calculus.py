@@ -9,17 +9,24 @@ which the test suite asserts on random diagrams.
 A crossing change only swaps the two levels of each switched crossing,
 so the switched diagram's signed pair sum is read from the original
 diagram with those levels flipped: no switched diagram is ever built.
-`v_alternating` walks all 2^r subsets in Gray-code order, O(r) each,
-after one pass over the diagram (see `_straddles`).
+
+No query reads the ``lk`` mapping: a `CrossingDiagram` is read once, at
+construction, into integer columns (the crossings of each entry's two
+lifts and its signed value) plus the signed pair sum and total writhe.
+`e_invariant` and `i_x_dirac` read the totals, O(1); `delta_h_full` and
+`delta_h_reduced` make one pass over the columns, looking each crossing
+up in the switched set; `v_alternating` walks all 2^r subsets in
+Gray-code order, O(r) each, after one pass (see `_straddles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import mul, ne
 from typing import (
     TYPE_CHECKING,
-    AbstractSet,
     Iterable,
     Iterator,
     Literal,
@@ -39,34 +46,22 @@ if TYPE_CHECKING:
     from .linking import PolyCurve, ProjectionAxis
 
 
-def _signed_pair_sum(
-    d: CrossingDiagram, switched: AbstractSet[int] = frozenset()
-) -> int:
-    """Sum of (-1)^(e+e') lk over lift pairs, as if ``switched`` were changed.
-
-    A crossing change swaps the two levels of its crossing, so a term
-    flips its parity when exactly one of its two crossings is switched;
-    a pair with both crossings switched, or both lifts on one switched
-    crossing, keeps it.  With nothing switched this is the sum of ``d``,
-    and the set lookups are skipped.
-    """
-    total = 0
-    for (a, b), value in d.lk.items():
-        if switched and (a.crossing in switched) != (b.crossing in switched):
-            value = -value
-        total += (-1) ** (a.level + b.level) * value
-    return total
-
-
 def delta_h_full(d: CrossingDiagram, switched: Iterable[int]) -> Fraction:
     """Invariant difference H(f) - H(f_S) from both diagrams' linking sums.
 
-    Equals (1/4) (signed pair sum of d minus signed pair sum of the
-    switched diagram).  The switched sum is read from ``d`` with the
-    levels of the switched crossings swapped; no diagram is built.
+    Equals (1/4) (signed pair sum P of d minus signed pair sum P_S of the
+    switched diagram).  A crossing change swaps the two levels of its
+    crossing, so a term of P_S is the term of P with its sign flipped
+    once per switched crossing among its two lifts' crossings: a term
+    on one switched crossing, or with both crossings switched, keeps its
+    sign.  P_S is one pass over the diagram's columns; no diagram is
+    built.
     """
-    s = d.checked_crossings(switched)
-    return Fraction(_signed_pair_sum(d) - _signed_pair_sum(d, s), 4)
+    c = d._columns
+    sign = dict.fromkeys(d.checked_crossings(switched), -1)
+    signs = map(mul, map(sign.get, c.lower, repeat(1)), map(sign.get, c.upper, repeat(1)))
+    switched_sum = sum(map(mul, c.signed, signs))
+    return Fraction(c.pair_sum - switched_sum, 4)
 
 
 def delta_h_reduced(d: CrossingDiagram, switched: Iterable[int]) -> Fraction:
@@ -75,12 +70,10 @@ def delta_h_reduced(d: CrossingDiagram, switched: Iterable[int]) -> Fraction:
     Only pairs with exactly one crossing index in the switched set
     contribute, each with weight 1/2.
     """
+    c = d._columns
     s = d.checked_crossings(switched)
-    total = 0
-    for (a, b), value in d.lk.items():
-        if (a.crossing in s) != (b.crossing in s):
-            total += (-1) ** (a.level + b.level) * value
-    return Fraction(total, 2)
+    straddles = map(ne, map(s.__contains__, c.lower), map(s.__contains__, c.upper))
+    return Fraction(sum(compress(c.signed, straddles)), 2)
 
 
 def i_x_dirac(d: CrossingDiagram) -> Fraction:
@@ -88,36 +81,37 @@ def i_x_dirac(d: CrossingDiagram) -> Fraction:
 
     (1/2) signed pair sum + (1/4) total writhe.
     """
-    w = sum(d.writhe.values())
-    return Fraction(_signed_pair_sum(d), 2) + Fraction(w, 4)
+    c = d._columns
+    return Fraction(c.pair_sum, 2) + Fraction(c.writhe_sum, 4)
 
 
 def _straddles(
     d: CrossingDiagram, indices: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (S, 2 delta_h(d, S)) for every subset S of the given crossings.
+) -> Iterator[tuple[list[bool], int]]:
+    """Yield (inside, 2 delta_h(d, S)) for every subset S of the given crossings.
 
-    Subsets come in Gray-code order, each one crossing from the last;
-    the members of each S keep the order of ``indices``.  One pass over
-    ``d.lk`` sums C_tj = sum of (-1)^(e+f) lk((t,e),(j,f)) for the chosen
-    crossings t and every j != t: the row sums row_t over all j, and the
-    block C_tu between chosen crossings (a pair on one crossing never
-    straddles).  Toggling t moves the straddle sum by
+    ``inside`` flags which of ``indices`` are in S; it is one list,
+    updated in place between steps.  Subsets come in Gray-code order,
+    starting from the empty one: step n toggles the lowest set bit of
+    n, so the n-th subset has the parity of n.  One pass over the
+    diagram's columns sums C_tj = sum of (-1)^(e+f) lk((t,e),(j,f)) for
+    the chosen crossings t and every j != t: the row sums row_t over all
+    j, and the block C_tu between chosen crossings (a pair on one
+    crossing never straddles).  Toggling t moves the straddle sum by
     +-(row_t - 2 sum of C_tu over the other u in S); delta_h is half of it.
     """
     idx = list(indices)
     d.checked_crossings(idx)
     if len(set(idx)) != len(idx):
         raise DuplicateIndex(f"repeated crossing index in {idx}")
+    c = d._columns
     pos = {i: t for t, i in enumerate(idx)}
     row = [0] * len(idx)
     block = [[0] * len(idx) for _ in idx]
-    for (a, b), value in d.lk.items():
-        t, u = pos.get(a.crossing), pos.get(b.crossing)
-        if (t is None and u is None) or a.crossing == b.crossing:
+    for i, j, value in zip(c.lower, c.upper, c.signed):
+        t, u = pos.get(i), pos.get(j)
+        if (t is None and u is None) or i == j:
             continue
-        if a.level != b.level:
-            value = -value
         for x, y in ((t, u), (u, t)):
             if x is not None:
                 row[x] += value
@@ -125,22 +119,26 @@ def _straddles(
                     block[x][y] += value
     inside = [False] * len(idx)
     straddle = 0
-    yield (), 0
+    yield inside, 0
     for step in range(1, 2 ** len(idx)):
         t = (step & -step).bit_length() - 1
-        change = row[t] - 2 * sum(c for c, s in zip(block[t], inside) if s)
+        change = row[t] - 2 * sum(compress(block[t], inside))
         inside[t] = not inside[t]
         straddle += change if inside[t] else -change
-        yield tuple(i for i, s in zip(idx, inside) if s), straddle
+        yield inside, straddle
 
 
 def _subset_values(
     h0: Fraction | int, d: CrossingDiagram, indices: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (S, h0 - delta_h(d, S)) for every subset S, as ``_straddles``."""
+    """Yield (S, h0 - delta_h(d, S)) for every subset S, as ``_straddles``.
+
+    The members of each S keep the order of ``indices``.
+    """
     h0 = Fraction(h0)
-    for s, straddle in _straddles(d, indices):
-        yield s, h0 - Fraction(straddle, 2)
+    idx = list(indices)
+    for inside, straddle in _straddles(d, idx):
+        yield tuple(compress(idx, inside)), h0 - Fraction(straddle, 2)
 
 
 def v_alternating(
@@ -152,13 +150,14 @@ def v_alternating(
     where u(f_S) = h0 - delta_h(d, S).  The base value h0 cancels as
     soon as the index list is nonempty; vanishing for 3 indices is the
     order-2 property.  Every subset is evaluated: O(nnz + r 2^r), on
-    integers, with one ``Fraction`` at the end.
+    integers, with one ``Fraction`` at the end.  The n-th subset of the
+    Gray-code walk has the parity of n, so no subset is built.
     """
-    signs = straddles = 0
-    for s, straddle in _straddles(d, indices):
-        sign = -1 if len(s) % 2 else 1
+    sign, signs, straddles = 1, 0, 0
+    for _, straddle in _straddles(d, indices):
         signs += sign
         straddles += sign * straddle
+        sign = -sign
     return signs * Fraction(h0) - Fraction(straddles, 2)
 
 
@@ -168,7 +167,7 @@ def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:
     Independent of which lift supplied ``h_of_f``: replacing (h, d) by
     (h - delta_h(d, S), crossing_change(d, S)) gives the same value.
     """
-    return Fraction(h_of_f) - Fraction(_signed_pair_sum(d), 4)
+    return Fraction(h_of_f) - Fraction(d._columns.pair_sum, 4)
 
 
 EventKind = Literal["definite_tangency", "indefinite_tangency", "triple_point"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AsymmetricEntry, IndexOutOfRange, ParseError
@@ -42,6 +43,22 @@ def pair_key(a: LiftId, b: LiftId) -> PairKey:
     return (a, b) if lift_lt(a, b) else (b, a)
 
 
+class _Columns(NamedTuple):
+    """A diagram's ``lk`` entries as parallel int lists, in ``lk`` order.
+
+    Entry n pairs a lift on crossing ``lower[n]`` with one on crossing
+    ``upper[n]`` and has signed value ``signed[n]`` = (-1)^(e+f) lk;
+    ``pair_sum`` is the sum of ``signed`` and ``writhe_sum`` the total
+    writhe.
+    """
+
+    lower: list[int]
+    upper: list[int]
+    signed: list[int]
+    pair_sum: int
+    writhe_sum: int
+
+
 @dataclass(frozen=True)
 class CrossingDiagram:
     """Crossing diagram: dimension parameter k, m crossings, linking data.
@@ -57,12 +74,22 @@ class CrossingDiagram:
     1..m and a level 0/1 (else :class:`IndexOutOfRange`); and every
     ``lk`` key is in canonical order (else :class:`AsymmetricEntry`,
     since one pair could otherwise be stored twice).
+
+    The diagram is read once, at construction.  ``lk`` and ``writhe``
+    are copied and exposed as read-only mappings, so changing the dicts
+    passed in changes nothing here.  The same pass that checks an entry
+    also records, in integer columns, the crossings of its two lifts and
+    its signed value (-1)^(e+f) lk, plus the signed pair sum and the
+    total writhe; the calculus reads only these, so a query costs one
+    pass over plain int lists (or O(1) for the totals), never a walk of
+    the keyed mapping.
     """
 
     k: int
     m: int
     lk: Mapping[PairKey, int] = field(default_factory=dict)
     writhe: Mapping[LiftId, int] = field(default_factory=dict)
+    _columns: _Columns = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if type(self.k) is not int or type(self.m) is not int:
@@ -72,7 +99,12 @@ class CrossingDiagram:
         if self.m < 0:
             raise IndexOutOfRange(f"crossing count m={self.m} must be non-negative")
         m = self.m
-        for key, value in self.lk.items():
+        lk = dict(self.lk)
+        writhe = dict(self.writhe)
+        lower: list[int] = []
+        upper: list[int] = []
+        signed: list[int] = []
+        for key, value in lk.items():
             (i, e), (j, f) = key
             # Every field an int, both lifts in range and lift_lt(a, b), in
             # one test that allocates nothing: every diagram built pays it
@@ -86,10 +118,21 @@ class CrossingDiagram:
                 if not lift_lt(a, b):
                     raise AsymmetricEntry(f"key {key} not in canonical order")
                 raise ParseError(f"lk value for {key} must be an integer, got {value!r}")
-        for lift, value in self.writhe.items():
+            lower.append(i)
+            upper.append(j)
+            signed.append(-value if e != f else value)
+        for lift, value in writhe.items():
             _check_lift(lift, m)
             if type(value) is not int:
                 raise ParseError(f"writhe of {lift} must be an integer, got {value!r}")
+        object.__setattr__(self, "lk", MappingProxyType(lk))
+        object.__setattr__(self, "writhe", MappingProxyType(writhe))
+        object.__setattr__(self, "_columns", _Columns(
+            lower, upper, signed, sum(signed), sum(writhe.values())))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; rebuild from plain dicts.
+        return type(self), (self.k, self.m, dict(self.lk), dict(self.writhe))
 
     def lk_value(self, a: LiftId, b: LiftId) -> int:
         return self.lk.get(pair_key(a, b), 0)
@@ -166,7 +209,14 @@ def crossing_change(d: CrossingDiagram, switched: Iterable[int]) -> CrossingDiag
     """
     s = d.checked_crossings(switched)
     flip = {LiftId(i, e): LiftId(i, 1 - e) for i in s for e in (0, 1)}
-    new_lk = {pair_key(flip.get(a, a), flip.get(b, b)): v for (a, b), v in d.lk.items()}
+    # A key on one crossing maps to itself.  Any other key stays canonical
+    # when its levels flip, since the lift order compares crossings first.
+    new_lk = {}
+    for key, v in d.lk.items():
+        a, b = key
+        if a.crossing != b.crossing:
+            key = (flip.get(a, a), flip.get(b, b))
+        new_lk[key] = v
     new_writhe = {flip.get(l, l): v for l, v in d.writhe.items()}
     return CrossingDiagram(k=d.k, m=d.m, lk=new_lk, writhe=new_writhe)
 
@@ -202,6 +252,9 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
     subclass) raise ParseError naming the entry and field.  A pair or
     lift listed twice raises ParseError; zero values are dropped.
     """
+    # One LiftId per lift, shared by every key that names it: a LiftId
+    # equals and hashes as its (i, e) tuple, so the tuple looks it up.
+    lifts: dict[tuple[int, int], LiftId] = {}
     try:
         k, m = data["k"], data["m"]
         if {type(k), type(m)} != {int}:
@@ -209,18 +262,28 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
         lk: dict[PairKey, int] = {}
         for pos, row in enumerate(data.get("lk", [])):
             i, ei, j, ej, value = row["i"], row["ei"], row["j"], row["ej"], row["value"]
-            if {type(i), type(ei), type(j), type(ej), type(value)} != {int}:
+            if not type(i) is type(ei) is type(j) is type(ej) is type(value) is int:
                 raise _non_integer(f"lk[{pos}]", row, ("i", "ei", "j", "ej", "value"))
-            key = pair_key(LiftId(i, ei), LiftId(j, ej))
+            a, b = (i, ei), (j, ej)
+            # With both levels 0/1 and two distinct lifts, tuple order is
+            # the lift order.  Otherwise pair_key raises, or builds the
+            # key that the constructor refuses.
+            if ei in (0, 1) and ej in (0, 1) and a != b:
+                if b < a:
+                    a, b = b, a
+                key = (lifts.get(a) or lifts.setdefault(a, LiftId(*a)),
+                       lifts.get(b) or lifts.setdefault(b, LiftId(*b)))
+            else:
+                key = pair_key(LiftId(i, ei), LiftId(j, ej))
             if key in lk:
                 raise ParseError(f"duplicate lk entry for pair {key}")
             lk[key] = value
         writhe: dict[LiftId, int] = {}
         for pos, row in enumerate(data.get("writhe", [])):
             i, e, value = row["i"], row["e"], row["value"]
-            if {type(i), type(e), type(value)} != {int}:
+            if not type(i) is type(e) is type(value) is int:
                 raise _non_integer(f"writhe[{pos}]", row, ("i", "e", "value"))
-            lift = LiftId(i, e)
+            lift = lifts.get((i, e)) or LiftId(i, e)
             if lift in writhe:
                 raise ParseError(f"duplicate writhe entry for {lift}")
             writhe[lift] = value

@@ -196,7 +196,7 @@ def verify_generator(
     expected = generator_diagram(1).lk
     deltas = {i: delta_h_reduced(built, {i}) for i in range(1, 7)}
     return GeneratorReport(
-        linking_matrix=built.lk,
+        linking_matrix=dict(built.lk),
         matches_diagram=built.lk in (expected, {a: -v for a, v in expected.items()}),
         h_value=deltas[1],
         singleton_deltas=deltas,

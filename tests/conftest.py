@@ -1,4 +1,5 @@
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -35,3 +36,21 @@ def random_diagram(rng, m_max=6, max_abs=5, with_writhe=False, m_min=0):
 
 def random_subset(rng, m):
     return {int(i) for i in range(1, m + 1) if rng.random() < 0.5}
+
+
+def wide_random_diagram(gen, m_max=7):
+    """Random diagram from a ``random.Random``: values of either sign, about
+    a third of them beyond 2**63, pairs on one crossing among the rest.
+    Half the time its crossings are spread over 1..10**12 instead of 1..n."""
+    n = gen.randint(0, m_max)
+    m = n if gen.random() < 0.5 else 10**12
+    crossings = sorted(gen.sample(range(1, m + 1), n))
+    lifts = [LiftId(i, e) for i in crossings for e in (0, 1)]
+
+    def value():
+        size = gen.randrange(2**63, 2**70) if gen.random() < 0.3 else gen.randint(1, 5)
+        return gen.choice((-1, 1)) * size
+
+    entries = [(a, b, value()) for a, b in combinations(lifts, 2) if gen.random() < 0.5]
+    writhes = [(lift, value()) for lift in lifts if gen.random() < 0.3]
+    return make_diagram(k=1, m=m, lk=entries, writhe=writhes)

@@ -1,9 +1,11 @@
-"""Shared builders for the test suite: knot codes and explicit curves.
+"""Shared builders and oracles for the test suite.
 
 Everything here is an independent construction path from the library
 code under test: Gauss codes come from braid closures, curves from
-direct parametrizations, and crossing signs from a rational-division
-crossing test that shares no code with the library's integer one.
+direct parametrizations, crossing signs from a rational-division
+crossing test that shares no code with the library's integer one, and
+signed pair sums from a walk of a diagram's ``lk`` mapping, key by key,
+which the library's integer columns replaced.
 """
 
 from fractions import Fraction
@@ -224,6 +226,18 @@ def naive_linking_oracle(m, n, direction=(0, 0, 1)):
     if total % 2:
         raise NonGenericProjection("odd signed crossing count")
     return total // 2
+
+
+def signed_pair_sum_oracle(d, switched=frozenset()):
+    """Sum of (-1)^(e+f) lk((i,e),(j,f)) over ``d.lk``, read key by key,
+    after swapping the two levels of every crossing in ``switched``: the
+    signed pair sum of the switched diagram, with no diagram built."""
+    total = 0
+    for (a, b), value in d.lk.items():
+        e = 1 - a.level if a.crossing in switched else a.level
+        f = 1 - b.level if b.crossing in switched else b.level
+        total += (-1) ** (e + f) * value
+    return total
 
 
 def dense_box_pairs(pts1, pts2):

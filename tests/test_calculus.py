@@ -1,3 +1,4 @@
+import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
@@ -26,8 +27,8 @@ from haefliger.errors import (
 )
 from haefliger.generator import generator_diagram
 
-from conftest import random_diagram, random_subset
-from helpers import hopf_link, torus_link_curves
+from conftest import random_diagram, random_subset, wide_random_diagram
+from helpers import hopf_link, signed_pair_sum_oracle, torus_link_curves
 
 
 def test_delta_h_of_empty_switch_set(rng):
@@ -69,11 +70,6 @@ def test_delta_h_formulas_agree(rng):
         assert delta_h_full(d, s) == delta_h_reduced(d, s)
 
 
-def reference_signed_sum(d):
-    """Signed pair sum written out here, independent of the library kernel."""
-    return sum((-1) ** (a.level + b.level) * v for (a, b), v in d.lk.items())
-
-
 def test_switched_sums_match_built_switched_diagrams(rng):
     # The library reads the switched sum from d with levels flipped; the
     # reference builds the switched diagram with crossing_change instead.
@@ -81,15 +77,15 @@ def test_switched_sums_match_built_switched_diagrams(rng):
         d = random_diagram(rng, with_writhe=True)
         s = random_subset(rng, d.m)
         expected = Fraction(
-            reference_signed_sum(d) - reference_signed_sum(crossing_change(d, s)), 4
+            signed_pair_sum_oracle(d) - signed_pair_sum_oracle(crossing_change(d, s)), 4
         )
         assert delta_h_full(d, s) == expected
         idx = [int(i) for i in rng.permutation(range(1, d.m + 1))[:4]]
         h0 = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
         alternating = sum(
             (-1) ** r * (h0 - Fraction(
-                reference_signed_sum(d)
-                - reference_signed_sum(crossing_change(d, subset)), 4))
+                signed_pair_sum_oracle(d)
+                - signed_pair_sum_oracle(crossing_change(d, subset)), 4))
             for r in range(len(idx) + 1)
             for subset in combinations(idx, r)
         )
@@ -107,8 +103,8 @@ def test_subset_values_match_built_switched_diagrams(rng):
         h0 = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
         expected = {
             subset: h0 - Fraction(
-                reference_signed_sum(d)
-                - reference_signed_sum(crossing_change(d, subset)), 4)
+                signed_pair_sum_oracle(d)
+                - signed_pair_sum_oracle(crossing_change(d, subset)), 4)
             for size in range(r + 1)
             for subset in combinations(idx, size)
         }
@@ -162,13 +158,63 @@ class CountingMapping(Mapping):
 
 
 def test_v_alternating_reads_the_diagram_once(rng):
+    # The constructor reads the mapping it is given once; no query reads
+    # it again.
     plain = random_diagram(rng, m_min=12, m_max=12, with_writhe=True)
     counted = CountingMapping(plain.lk)
     d = CrossingDiagram(k=1, m=plain.m, lk=counted, writhe=plain.writhe)
+    assert counted.passes == 1
     counted.passes = 0
     idx = [int(i) for i in rng.permutation(range(1, 13))[:10]]
+    s = set(idx[:5])
     assert v_alternating(3, d, idx) == v_alternating(3, plain, idx)
-    assert counted.passes <= 1
+    assert list(calculus._subset_values(3, d, idx)) == list(
+        calculus._subset_values(3, plain, idx))
+    assert delta_h_full(d, s) == delta_h_full(plain, s)
+    assert delta_h_reduced(d, s) == delta_h_reduced(plain, s)
+    assert e_invariant(3, d) == e_invariant(3, plain)
+    assert i_x_dirac(d) == i_x_dirac(plain)
+    assert counted.passes == 0
+
+
+def test_queries_equal_the_dict_walking_oracle():
+    # Fixed seed, whatever HAEFLIGER_SEED says: the cases counted below
+    # must all occur.
+    gen = random.Random(20261018)
+    cases = dict.fromkeys(("negative", "beyond 2**63", "one crossing", "sparse"), 0)
+    for _ in range(150):
+        first = wide_random_diagram(gen)
+        crossings = sorted({lift.crossing for key in first.lk for lift in key})
+        changed = crossing_change(first, {i for i in crossings if gen.random() < 0.5})
+        for d in (first, changed):
+            values = list(d.lk.values())
+            cases["negative"] += any(v < 0 for v in values)
+            cases["beyond 2**63"] += any(abs(v) >= 2**63 for v in values)
+            cases["one crossing"] += any(a.crossing == b.crossing for a, b in d.lk)
+            cases["sparse"] += d.m > 2 * len(d.lk) + 1
+            total = signed_pair_sum_oracle(d)
+            for _ in range(4):
+                s = {i for i in crossings if gen.random() < 0.5}
+                if d.m and gen.random() < 0.5:
+                    s.add(gen.randint(1, d.m))  # a crossing no entry may name
+                expected = Fraction(total - signed_pair_sum_oracle(d, s), 4)
+                for value in (delta_h_full(d, s), delta_h_reduced(d, s)):
+                    assert type(value) is Fraction and value == expected
+            h = Fraction(gen.randint(-99, 99), 4)
+            assert e_invariant(h, d) == h - Fraction(total, 4)
+            assert type(e_invariant(h, d)) is Fraction
+            writhe = sum(d.writhe.values())
+            assert i_x_dirac(d) == Fraction(total, 2) + Fraction(writhe, 4)
+            assert type(i_x_dirac(d)) is Fraction
+            idx = gen.sample(crossings, min(len(crossings), gen.randint(0, 4)))
+            alternating = sum(
+                (-1) ** r * (h - Fraction(total - signed_pair_sum_oracle(d, set(subset)), 4))
+                for r in range(len(idx) + 1)
+                for subset in combinations(idx, r)
+            )
+            value = v_alternating(h, d, idx)
+            assert type(value) is Fraction and value == alternating
+    assert all(cases.values()), cases
 
 
 def test_delta_h_antisymmetry(rng):

@@ -1,7 +1,11 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
+from haefliger.calculus import delta_h_full, delta_h_reduced, e_invariant, i_x_dirac
 from haefliger.diagram import (
     CrossingDiagram,
     LiftId,
@@ -15,7 +19,7 @@ from haefliger.diagram import (
 from haefliger.errors import AsymmetricEntry, IndexOutOfRange, ParseError
 from haefliger.generator import generator_diagram
 
-from conftest import random_diagram, random_subset
+from conftest import random_diagram, random_subset, wide_random_diagram
 
 
 def test_lift_order():
@@ -147,6 +151,66 @@ def test_crossing_change_preserves_shape(rng):
         assert sorted(changed.writhe.values()) == sorted(d.writhe.values())
 
 
+def flipped(lift, switched):
+    return LiftId(lift.crossing, 1 - lift.level) if lift.crossing in switched else lift
+
+
+def test_crossing_change_equals_the_pair_key_construction():
+    # make_diagram orders every flipped pair with pair_key.
+    gen = random.Random(11)
+    for _ in range(100):
+        d = wide_random_diagram(gen)
+        crossings = {lift.crossing for key in d.lk for lift in key}
+        s = {i for i in crossings if gen.random() < 0.5}
+        expected = make_diagram(
+            k=d.k,
+            m=d.m,
+            lk=[(flipped(a, s), flipped(b, s), v) for (a, b), v in d.lk.items()],
+            writhe=[(flipped(lift, s), v) for lift, v in d.writhe.items()],
+        )
+        changed = crossing_change(d, s)
+        assert changed == expected
+        assert all(key == pair_key(*key) for key in changed.lk)
+
+
+def test_diagram_owns_read_only_copies():
+    a, b, c = LiftId(1, 0), LiftId(2, 1), LiftId(3, 0)
+    lk = {(a, b): 2, (b, c): -5}
+    writhe = {a: 3}
+    d = CrossingDiagram(k=1, m=3, lk=lk, writhe=writhe)
+
+    def queries(d):
+        return (delta_h_full(d, {2}), delta_h_reduced(d, {1, 3}),
+                e_invariant(1, d), i_x_dirac(d))
+
+    before = queries(d)
+    lk[(a, c)] = 7
+    lk[(a, b)] = 4
+    del lk[(b, c)]
+    writhe[c] = 1
+    assert queries(d) == before
+    assert d.lk == {(a, b): 2, (b, c): -5} and d.writhe == {a: 3}
+    with pytest.raises(TypeError):
+        d.lk[(a, c)] = 1
+    with pytest.raises(TypeError):
+        d.writhe[c] = 1
+    plain = CrossingDiagram(k=1, m=3, lk={(a, b): 2, (b, c): -5}, writhe={a: 3})
+    assert d == plain and CrossingDiagram(k=1, m=3, lk=d.lk, writhe=d.writhe) == d
+    assert diagram_from_dict(diagram_to_dict(d)) == d
+    assert diagram_to_dict(d) == diagram_to_dict(plain)
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d and queries(copied) == before
+
+
+def test_diagram_subclass_pickles_as_itself():
+    class Tagged(CrossingDiagram):
+        pass
+
+    d = Tagged(k=1, m=2, lk={(LiftId(1, 0), LiftId(2, 1)): 3})
+    copied = copy.deepcopy(d)
+    assert type(copied) is Tagged and copied == d
+
+
 def test_crossing_change_bad_index():
     with pytest.raises(IndexOutOfRange):
         crossing_change(generator_diagram(1), {7})
@@ -219,3 +283,47 @@ def test_from_dict_drops_zeros_and_rejects_repeats():
         diagram_from_dict({**doc, "lk": [zero_lk, zero_lk]})
     with pytest.raises(ParseError, match="duplicate writhe"):
         diagram_from_dict({**doc, "writhe": [zero_writhe, zero_writhe]})
+
+
+def test_from_dict_equals_make_diagram():
+    # Rows in any order and either orientation, zeros included.
+    gen = random.Random(12)
+    for _ in range(100):
+        d = wide_random_diagram(gen)
+        rows = [(a, b, v) for (a, b), v in d.lk.items()]
+        rows += [(LiftId(i, 0), LiftId(i, 1), 0) for i in range(1, min(d.m, 3) + 1)
+                 if (LiftId(i, 0), LiftId(i, 1)) not in d.lk]
+        gen.shuffle(rows)
+        rows = [(b, a, v) if gen.random() < 0.5 else (a, b, v) for a, b, v in rows]
+        doc = {
+            "k": d.k,
+            "m": d.m,
+            "lk": [{"i": a.crossing, "ei": a.level, "j": b.crossing, "ej": b.level,
+                    "value": v} for a, b, v in rows],
+            "writhe": [{"i": lift.crossing, "e": lift.level, "value": v}
+                       for lift, v in d.writhe.items()],
+        }
+        loaded = diagram_from_dict(doc)
+        assert loaded == make_diagram(k=d.k, m=d.m, lk=rows, writhe=d.writhe.items())
+        assert loaded == d
+        assert all(type(lift) is LiftId for key in loaded.lk for lift in key)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ({"i": 1, "ei": 1, "j": 1, "ej": 1}, AsymmetricEntry),
+        ({"i": 2, "ei": 0, "j": 2, "ej": 0}, AsymmetricEntry),
+        ({"i": 1, "ei": 2, "j": 2, "ej": 0}, IndexOutOfRange),
+        ({"i": 2, "ei": 0, "j": 1, "ej": 2}, IndexOutOfRange),
+        ({"i": 1, "ei": -1, "j": 1, "ej": 0}, IndexOutOfRange),
+        ({"i": 1, "ei": 2, "j": 1, "ej": 2}, AsymmetricEntry),
+        ({"i": 3, "ei": 0, "j": 1, "ej": 1}, IndexOutOfRange),
+        ({"i": 0, "ei": 1, "j": 2, "ej": 0}, IndexOutOfRange),
+    ],
+    ids=["identical", "identical level 0", "level 2", "level 2 reversed",
+         "level -1 same crossing", "identical level 2", "crossing > m", "crossing 0"],
+)
+def test_from_dict_refuses_bad_lifts(row, error):
+    with pytest.raises(error):
+        diagram_from_dict({"k": 1, "m": 2, "lk": [{**row, "value": 1}]})

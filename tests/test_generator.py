@@ -1,4 +1,6 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +96,14 @@ def test_verify_generator_end_to_end():
     assert len(report.linking_matrix) == 6
     assert set(report.linking_matrix.values()) == {1}
     assert all(key == pair_key(*key) for key in report.linking_matrix)
+
+
+def test_verify_generator_report_is_plain_data():
+    report = verify_generator(DEFAULT_PARAMS, n=32)
+    assert type(report.linking_matrix) is dict
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert copy.deepcopy(report) == report
+    assert asdict(report)["linking_matrix"] == report.linking_matrix
 
 
 def test_verify_generator_resolution_independent():
