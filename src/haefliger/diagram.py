@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import AsymmetricEntry, IndexOutOfRange, ParseError
+from .errors import AsymmetricEntry, HaefligerError, IndexOutOfRange, ParseError
 
 
 class LiftId(NamedTuple):
@@ -83,6 +83,23 @@ class CrossingDiagram:
     total writhe; the calculus reads only these, so a query costs one
     pass over plain int lists (or O(1) for the totals), never a walk of
     the keyed mapping.
+
+    Three routes build a diagram, and each checks every entry once:
+
+    * the constructor (and :func:`make_diagram`, which calls it) checks
+      everything above;
+    * :func:`diagram_from_dict` checks the same rules in its own row loop,
+      where it also drops zero rows and builds the columns;
+    * :func:`crossing_change` derives the switched diagram from a valid
+      one, which keeps every rule true, and updates the columns.
+
+    The last two hand their finished parts to the private classmethod
+    ``_from_checked``.  Its contract: ``k`` and ``m`` are valid, ``lk``
+    and ``writhe`` are fresh dicts that satisfy every rule above, hold
+    no zero value and are not used by the caller afterwards, and
+    ``columns`` lists ``lk``'s entries in its order, with the sums (its
+    lists are never changed, so diagrams may share them).  It checks
+    nothing and only assigns, with the code that ends the constructor.
     """
 
     k: int
@@ -94,10 +111,7 @@ class CrossingDiagram:
     def __post_init__(self) -> None:
         if type(self.k) is not int or type(self.m) is not int:
             raise ParseError(f"k and m must be integers, got k={self.k!r}, m={self.m!r}")
-        if self.k < 1:
-            raise IndexOutOfRange(f"dimension parameter k={self.k} must be positive")
-        if self.m < 0:
-            raise IndexOutOfRange(f"crossing count m={self.m} must be non-negative")
+        _check_shape(self.k, self.m)
         m = self.m
         lk = dict(self.lk)
         writhe = dict(self.writhe)
@@ -107,8 +121,8 @@ class CrossingDiagram:
         for key, value in lk.items():
             (i, e), (j, f) = key
             # Every field an int, both lifts in range and lift_lt(a, b), in
-            # one test that allocates nothing: every diagram built pays it
-            # once per entry.
+            # one test that allocates nothing: every diagram constructed
+            # pays it once per entry.
             if not (type(i) is type(j) is type(e) is type(f) is type(value) is int
                     and 0 < i <= j <= m and e in (0, 1) and f in (0, 1)
                     and (i < j or e < f)):
@@ -125,10 +139,25 @@ class CrossingDiagram:
             _check_lift(lift, m)
             if type(value) is not int:
                 raise ParseError(f"writhe of {lift} must be an integer, got {value!r}")
+        self._assign(self.k, m, lk, writhe, _Columns(
+            lower, upper, signed, sum(signed), sum(writhe.values())))
+
+    @classmethod
+    def _from_checked(cls, k: int, m: int, lk: dict[PairKey, int],
+                      writhe: dict[LiftId, int], columns: _Columns) -> CrossingDiagram:
+        """A diagram of parts that already satisfy every rule (see the
+        class docstring); nothing is checked or copied."""
+        d = object.__new__(cls)
+        d._assign(k, m, lk, writhe, columns)
+        return d
+
+    def _assign(self, k: int, m: int, lk: dict[PairKey, int],
+                writhe: dict[LiftId, int], columns: _Columns) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "lk", MappingProxyType(lk))
         object.__setattr__(self, "writhe", MappingProxyType(writhe))
-        object.__setattr__(self, "_columns", _Columns(
-            lower, upper, signed, sum(signed), sum(writhe.values())))
+        object.__setattr__(self, "_columns", columns)
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled; rebuild from plain dicts.
@@ -157,13 +186,28 @@ class CrossingDiagram:
         return s
 
 
-def _check_lift(lift: LiftId, m: int) -> None:
+def _check_shape(k: int, m: int) -> None:
+    if k < 1:
+        raise IndexOutOfRange(f"dimension parameter k={k} must be positive")
+    if m < 0:
+        raise IndexOutOfRange(f"crossing count m={m} must be non-negative")
+
+
+def _lift_error(lift: LiftId, m: int) -> HaefligerError | None:
+    """The error that ``lift`` breaks as part of an m-crossing diagram, if any."""
     if type(lift.crossing) is not int or type(lift.level) is not int:
-        raise ParseError(f"crossing and level of {lift!r} must be integers")
+        return ParseError(f"crossing and level of {lift!r} must be integers")
     if not 1 <= lift.crossing <= m:
-        raise IndexOutOfRange(f"crossing {lift.crossing} outside 1..{m}")
+        return IndexOutOfRange(f"crossing {lift.crossing} outside 1..{m}")
     if lift.level not in (0, 1):
-        raise IndexOutOfRange(f"level {lift.level} not in {{0, 1}}")
+        return IndexOutOfRange(f"level {lift.level} not in {{0, 1}}")
+    return None
+
+
+def _check_lift(lift: LiftId, m: int) -> None:
+    error = _lift_error(lift, m)
+    if error:
+        raise error
 
 
 def make_diagram(
@@ -206,19 +250,36 @@ def crossing_change(d: CrossingDiagram, switched: Iterable[int]) -> CrossingDiag
     Swaps the two levels of every switched crossing in all linking keys
     and writhe keys; values, m and k are unchanged.  Applying the same
     set twice is the identity.
+
+    The result is derived from ``d`` in one pass and not checked again:
+    the swap keeps every key in range and canonical, the crossing columns
+    and the total writhe carry over, and a signed value changes sign
+    exactly when one of its entry's two crossings is switched.
     """
     s = d.checked_crossings(switched)
     flip = {LiftId(i, e): LiftId(i, 1 - e) for i in s for e in (0, 1)}
-    # A key on one crossing maps to itself.  Any other key stays canonical
-    # when its levels flip, since the lift order compares crossings first.
-    new_lk = {}
-    for key, v in d.lk.items():
-        a, b = key
-        if a.crossing != b.crossing:
-            key = (flip.get(a, a), flip.get(b, b))
-        new_lk[key] = v
-    new_writhe = {flip.get(l, l): v for l, v in d.writhe.items()}
-    return CrossingDiagram(k=d.k, m=d.m, lk=new_lk, writhe=new_writhe)
+    c = d._columns
+    lk = {}
+    signed = []
+    # A key on one crossing, or on two switched ones, keeps its signed
+    # value; a key on one crossing also maps to itself.  Any other key
+    # stays canonical when its levels flip, since the lift order compares
+    # crossings first.
+    for (key, value), i, j, x in zip(d.lk.items(), c.lower, c.upper, c.signed):
+        if i in s:
+            a, b = key
+            if j not in s:
+                key, x = (flip[a], b), -x
+            elif i != j:
+                key = (flip[a], flip[b])
+        elif j in s:
+            a, b = key
+            key, x = (a, flip[b]), -x
+        lk[key] = value
+        signed.append(x)
+    writhe = {flip.get(l, l): v for l, v in d.writhe.items()}
+    return CrossingDiagram._from_checked(d.k, d.m, lk, writhe, _Columns(
+        c.lower, c.upper, signed, sum(signed), c.writhe_sum))
 
 
 # --- JSON file format -------------------------------------------------------
@@ -251,47 +312,71 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
     Types are compared exactly, so floats, strings and bool (an int
     subclass) raise ParseError naming the entry and field.  A pair or
     lift listed twice raises ParseError; zero values are dropped.
+
+    The row loop checks every rule of the constructor and builds the
+    columns itself, so each row is read once.  Errors come in the order
+    of reading the whole document first and checking ranges after: any
+    ParseError or AsymmetricEntry of a row wins over a range error
+    (IndexOutOfRange) of an earlier one.  A zero row is only read, never
+    range-checked.
     """
-    # One LiftId per lift, shared by every key that names it: a LiftId
-    # equals and hashes as its (i, e) tuple, so the tuple looks it up.
-    lifts: dict[tuple[int, int], LiftId] = {}
+    # One LiftId per lift, shared by every key that names it, found by
+    # 2i + e: with levels 0/1 that number orders lifts as lift_lt does.
+    lifts: dict[int, LiftId] = {}
+    lk: dict[PairKey, int] = {}
+    writhe: dict[LiftId, int] = {}
+    zero_pairs: set[PairKey] = set()
+    zero_lifts: set[LiftId] = set()
+    lower: list[int] = []
+    upper: list[int] = []
+    signed: list[int] = []
+    deferred: HaefligerError | None = None
     try:
         k, m = data["k"], data["m"]
         if {type(k), type(m)} != {int}:
             raise _non_integer("diagram", data, ("k", "m"))
-        lk: dict[PairKey, int] = {}
+        top = m + m + 1
         for pos, row in enumerate(data.get("lk", [])):
             i, ei, j, ej, value = row["i"], row["ei"], row["j"], row["ej"], row["value"]
             if not type(i) is type(ei) is type(j) is type(ej) is type(value) is int:
                 raise _non_integer(f"lk[{pos}]", row, ("i", "ei", "j", "ej", "value"))
-            a, b = (i, ei), (j, ej)
-            # With both levels 0/1 and two distinct lifts, tuple order is
-            # the lift order.  Otherwise pair_key raises, or builds the
-            # key that the constructor refuses.
-            if ei in (0, 1) and ej in (0, 1) and a != b:
-                if b < a:
-                    a, b = b, a
-                key = (lifts.get(a) or lifts.setdefault(a, LiftId(*a)),
-                       lifts.get(b) or lifts.setdefault(b, LiftId(*b)))
+            x, y = i + i + ei, j + j + ej
+            if y < x:
+                x, y, i, j = y, x, j, i
+            if 1 < x < y <= top and 0 <= ei <= 1 and 0 <= ej <= 1:
+                key = (lifts.get(x) or lifts.setdefault(x, LiftId(i, x - i - i)),
+                       lifts.get(y) or lifts.setdefault(y, LiftId(j, y - j - j)))
             else:
-                key = pair_key(LiftId(i, ei), LiftId(j, ej))
-            if key in lk:
+                # pair_key refuses identical lifts now; a range error waits
+                # until the whole document is read.
+                a, b = key = pair_key(LiftId(row["i"], ei), LiftId(row["j"], ej))
+                if value:
+                    deferred = deferred or _lift_error(a, m) or _lift_error(b, m)
+            if key in lk or zero_pairs and key in zero_pairs:
                 raise ParseError(f"duplicate lk entry for pair {key}")
+            if not value:
+                zero_pairs.add(key)
+                continue
             lk[key] = value
-        writhe: dict[LiftId, int] = {}
+            lower.append(i)
+            upper.append(j)
+            signed.append(value if ei == ej else -value)
         for pos, row in enumerate(data.get("writhe", [])):
             i, e, value = row["i"], row["e"], row["value"]
             if not type(i) is type(e) is type(value) is int:
                 raise _non_integer(f"writhe[{pos}]", row, ("i", "e", "value"))
-            lift = lifts.get((i, e)) or LiftId(i, e)
-            if lift in writhe:
+            lift = 0 <= e <= 1 and lifts.get(i + i + e) or LiftId(i, e)
+            if lift in writhe or lift in zero_lifts:
                 raise ParseError(f"duplicate writhe entry for {lift}")
+            if not value:
+                zero_lifts.add(lift)
+                continue
+            deferred = deferred or _lift_error(lift, m)
             writhe[lift] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc
-    return CrossingDiagram(
-        k=k,
-        m=m,
-        lk={key: v for key, v in lk.items() if v},
-        writhe={l: v for l, v in writhe.items() if v},
-    )
+    _check_shape(k, m)
+    if deferred:
+        raise deferred
+    return CrossingDiagram._from_checked(k, m, lk, writhe, _Columns(
+        lower, upper, signed, sum(signed), sum(writhe.values())))

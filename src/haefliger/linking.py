@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import isfinite, lcm, sqrt
+from math import gcd, isfinite, lcm, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -61,8 +61,23 @@ def _to_vec3(point) -> Vec3:
 def _ratio(x) -> tuple[int, int]:
     """x as a reduced (numerator, denominator > 0), both Python ints: a
     numpy integer keeps its own type through ``Fraction``."""
+    if isinstance(x, (float, int)):
+        return x.as_integer_ratio()
     n, d = Fraction(x).as_integer_ratio()
     return int(n), int(d)
+
+
+def _grid(ints: list[int]) -> tuple[tuple[int, int, int], ...]:
+    return tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
+
+
+def _check_float_range(scale: int, ints: list[int]) -> None:
+    """Refuse a grid with a coordinate that no float can hold: the float
+    prefilter needs every coordinate as a finite float."""
+    try:
+        max(max(ints), -min(ints)) / scale
+    except OverflowError:
+        raise ParseError("a coordinate is beyond the float range") from None
 
 
 @dataclass(frozen=True, repr=False)
@@ -76,8 +91,17 @@ class PolyCurve:
     the rational vertices.  Ints and floats (numpy's float64 included) are
     read with ``as_integer_ratio``; any other coordinate goes through
     ``Fraction``, so Fractions, Decimals, numpy integers and numeric
-    strings work too.  ``vertices`` (as Fractions) and the float array are
-    made on first use and cached outside the fields.
+    strings work too.  A coordinate beyond the float range is refused
+    with ParseError, since the float prefilter needs every coordinate as
+    a float.  ``vertices`` (as Fractions) and the float array are made on
+    first use and cached outside the fields.
+
+    ``reversed``, ``translated`` and ``connected_sum_pl`` build their
+    curves from grids through the private classmethod ``_from_grid``,
+    which only assigns, with the code that ends the constructor: its
+    grid must be canonical (no common factor of the scale and every
+    coordinate), in float range and free of coinciding consecutive
+    vertices.
     """
 
     _scale: int
@@ -85,14 +109,17 @@ class PolyCurve:
 
     def __init__(self, points: Iterable) -> None:
         ratios = []
+        # A finite float is in float range; anything else may not be.
+        unbounded = False
         for point in points:
             x, y, z = point
             try:
-                ratios += (
-                    x.as_integer_ratio() if isinstance(x, (float, int)) else _ratio(x),
-                    y.as_integer_ratio() if isinstance(y, (float, int)) else _ratio(y),
-                    z.as_integer_ratio() if isinstance(z, (float, int)) else _ratio(z),
-                )
+                if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
+                    ratios += (x.as_integer_ratio(), y.as_integer_ratio(),
+                               z.as_integer_ratio())
+                else:
+                    unbounded = True
+                    ratios += (_ratio(x), _ratio(y), _ratio(z))
             except (ValueError, OverflowError) as exc:  # NaN, an infinity, a bad string
                 raise ParseError(f"bad point {point!r}: {exc}") from exc
         if len(ratios) < 9:
@@ -101,10 +128,23 @@ class PolyCurve:
         scale = lcm(*dens)
         factor = {d: scale // d for d in dens}
         ints = [n * factor[d] for n, d in ratios]
-        grid = tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
+        if unbounded:
+            _check_float_range(scale, ints)
+        grid = _grid(ints)
         for a, b in zip(grid, grid[1:] + grid[:1]):
             if a == b:
                 raise ParseError("consecutive vertices coincide")
+        self._assign(scale, grid)
+
+    @classmethod
+    def _from_grid(cls, scale: int, grid: tuple[tuple[int, int, int], ...]) -> PolyCurve:
+        """A curve of a grid that meets the contract in the class
+        docstring; nothing is checked."""
+        curve = object.__new__(cls)
+        curve._assign(scale, grid)
+        return curve
+
+    def _assign(self, scale: int, grid: tuple[tuple[int, int, int], ...]) -> None:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_grid", grid)
 
@@ -127,13 +167,22 @@ class PolyCurve:
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def reversed(self) -> "PolyCurve":
-        return PolyCurve(tuple(reversed(self.vertices)))
+        return PolyCurve._from_grid(self._scale, self._grid[::-1])
 
     def translated(self, offset) -> "PolyCurve":
-        dx, dy, dz = _to_vec3(offset)
-        return PolyCurve(
-            tuple((x + dx, y + dy, z + dz) for x, y, z in self.vertices)
-        )
+        offset = _to_vec3(offset)
+        scale = lcm(self._scale, *(t.denominator for t in offset))
+        f = scale // self._scale
+        dx, dy, dz = (t.numerator * (scale // t.denominator) for t in offset)
+        ints = [t for x, y, z in self._grid for t in (x * f + dx, y * f + dy, z * f + dz)]
+        # The grid stays canonical unless the shift clears a common factor
+        # of every coordinate and the scale: (1/2, 1/2) + (1/2, 1/2) is on 1.
+        common = gcd(scale, *ints)
+        if common > 1:
+            scale //= common
+            ints = [t // common for t in ints]
+        _check_float_range(scale, ints)
+        return PolyCurve._from_grid(scale, _grid(ints))
 
     def as_array(self) -> np.ndarray:
         """The vertices as an (n, 3) float array, converted once and read-only."""
@@ -152,16 +201,27 @@ class PolyCurve:
 
 @dataclass(frozen=True)
 class ProjectionAxis:
-    """Unit direction along which curves are projected."""
+    """Unit direction along which curves are projected.
+
+    Its integer plane basis is computed on first use and cached outside
+    the fields, so equality, hashing and repr see only ``direction``.
+    """
 
     direction: Vec3
 
     def __init__(self, direction) -> None:
         d = _to_vec3(direction)
-        norm2 = float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        try:
+            norm2 = float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        except OverflowError:
+            norm2 = float("inf")
         if abs(sqrt(norm2) - 1.0) > 1e-12:
             raise ParseError(f"axis direction {direction} is not unit length")
         object.__setattr__(self, "direction", d)
+
+    @cached_property
+    def _basis(self) -> tuple[tuple[int, int, int], ...]:
+        return _plane_basis(self)
 
 
 EZ = ProjectionAxis((0, 0, 1))
@@ -275,12 +335,17 @@ def _on_one_grid(curves: Sequence[PolyCurve]) -> list[Segment]:
     scale = lcm(*(c._scale for c in curves))
     segs = []
     for c in curves:
-        verts = c._grid
-        if c._scale != scale:
-            f = scale // c._scale
-            verts = tuple((x * f, y * f, z * f) for x, y, z in verts)
+        verts = _rescaled(c, scale)
         segs.extend(zip(verts, verts[1:] + verts[:1]))
     return segs
+
+
+def _rescaled(curve: PolyCurve, scale: int) -> tuple[tuple[int, int, int], ...]:
+    """The curve's grid on ``scale``, a multiple of its own scale."""
+    if curve._scale == scale:
+        return curve._grid
+    f = scale // curve._scale
+    return tuple((x * f, y * f, z * f) for x, y, z in curve._grid)
 
 
 def _project(points: np.ndarray, basis) -> np.ndarray:
@@ -346,7 +411,7 @@ def linking_matrix(
     if len(curves) < 2:
         return {}
     segs = _check_disjoint(curves)
-    basis = _plane_basis(axis)
+    basis = axis._basis
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
     for a, b in _box_pairs([_project(c.as_array(), basis) for c in curves]):
@@ -367,7 +432,7 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     The paper-level half-sum over ordered pairs collapses to a plain sum
     over unordered crossings.
     """
-    basis = _plane_basis(axis)
+    basis = axis._basis
     segs = _on_one_grid([curve])
     total = 0
     for i, j in _box_pairs([_project(curve.as_array(), basis)]):
@@ -431,11 +496,14 @@ def connected_sum_pl(
     if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
         raise ParseError("band vertex index out of range")
     _check_disjoint([m1, m2])
-    a = m1.vertices[i1:] + m1.vertices[:i1]
-    b = m2.vertices[i2:] + m2.vertices[:i2]
-    result = PolyCurve(a + b)
+    # Two canonical grids on the lcm of their scales make a canonical one,
+    # and the curves are disjoint, so the joined vertices are distinct.
+    scale = lcm(m1._scale, m2._scale)
+    a, b = _rescaled(m1, scale), _rescaled(m2, scale)
+    result = PolyCurve._from_grid(scale, a[i1:] + a[:i1] + b[i2:] + b[:i2])
 
-    new_segs = [(a[-1], b[0]), (b[-1], a[0])]
+    v, n1 = result.vertices, len(m1)
+    new_segs = [(v[n1 - 1], v[n1]), (v[-1], v[0])]
     for curve in (m1, m2, *avoid):
         for seg2 in curve.segments():
             for seg1 in new_segs:
@@ -446,7 +514,7 @@ def connected_sum_pl(
                     raise BandObstructed("band passes through a curve")
     if _segments_meet(*new_segs):
         raise BandObstructed("band connectors meet each other")
-    basis = _plane_basis(axis)
+    basis = axis._basis
     for curve in avoid:
         for seg2 in curve.segments():
             for seg1 in new_segs:

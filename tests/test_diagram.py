@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from haefliger.diagram import (
     make_diagram,
     pair_key,
 )
-from haefliger.errors import AsymmetricEntry, IndexOutOfRange, ParseError
+from haefliger.errors import AsymmetricEntry, HaefligerError, IndexOutOfRange, ParseError
 from haefliger.generator import generator_diagram
 
 from conftest import random_diagram, random_subset, wide_random_diagram
@@ -327,3 +328,165 @@ def test_from_dict_equals_make_diagram():
 def test_from_dict_refuses_bad_lifts(row, error):
     with pytest.raises(error):
         diagram_from_dict({"k": 1, "m": 2, "lk": [{**row, "value": 1}]})
+
+
+# --- the loader and crossing_change against the constructor -----------------
+#
+# diagram_from_dict and crossing_change build their diagrams without the
+# constructor's pass, so these tests pin both to it.
+
+
+def _parametrized(test):
+    (mark,) = [mark for mark in test.pytestmark if mark.name == "parametrize"]
+    return mark.args[1]
+
+
+def _constructor_route(doc):
+    """The document read row by row into pair_key-ordered dicts, repeats
+    refused and zeros dropped, and every other rule left to the
+    constructor."""
+    try:
+        k, m = doc["k"], doc["m"]
+        if type(k) is not int or type(m) is not int:
+            raise ParseError("k, m")
+        lk, writhe = {}, {}
+        for row in doc.get("lk", []):
+            i, ei, j, ej, value = (row[name] for name in ("i", "ei", "j", "ej", "value"))
+            if any(type(x) is not int for x in (i, ei, j, ej, value)):
+                raise ParseError("lk field")
+            key = pair_key(LiftId(i, ei), LiftId(j, ej))
+            if key in lk:
+                raise ParseError("duplicate lk")
+            lk[key] = value
+        for row in doc.get("writhe", []):
+            i, e, value = row["i"], row["e"], row["value"]
+            if any(type(x) is not int for x in (i, e, value)):
+                raise ParseError("writhe field")
+            if LiftId(i, e) in writhe:
+                raise ParseError("duplicate writhe")
+            writhe[LiftId(i, e)] = value
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError("malformed") from exc
+    return CrossingDiagram(k, m, {key: v for key, v in lk.items() if v},
+                           {lift: v for lift, v in writhe.items() if v})
+
+
+def _built_or_error_class(build, *args):
+    try:
+        return build(*args)
+    except HaefligerError as exc:
+        return type(exc)
+
+
+def _document(d, gen):
+    """d's JSON document, rows shuffled and in either orientation, with zero
+    rows on unused pairs."""
+    rows = [(a, b, v) for (a, b), v in d.lk.items()]
+    lifts = sorted({lift for key in d.lk for lift in key} | set(d.writhe))
+    for a, b in combinations(lifts, 2):
+        if (a, b) not in d.lk and gen.random() < 0.1:
+            rows.append((a, b, 0))
+    gen.shuffle(rows)
+    rows = [(b, a, v) if gen.random() < 0.5 else (a, b, v) for a, b, v in rows]
+    writhe = list(d.writhe.items())
+    writhe += [(lift, 0) for lift in lifts if lift not in d.writhe and gen.random() < 0.2]
+    return {
+        "k": d.k,
+        "m": d.m,
+        "lk": [{"i": a.crossing, "ei": a.level, "j": b.crossing, "ej": b.level,
+                "value": v} for a, b, v in rows],
+        "writhe": [{"i": lift.crossing, "e": lift.level, "value": v}
+                   for lift, v in writhe],
+    }
+
+
+def _spoiled(doc, gen):
+    """doc with one to three faults: a field out of range, of a wrong type or
+    missing, identical lifts, a repeated row, or a bad k or m."""
+    doc = {**doc, "lk": [dict(row) for row in doc["lk"]],
+           "writhe": [dict(row) for row in doc["writhe"]]}
+    m = doc["m"]
+    for _ in range(gen.randint(1, 3)):
+        rows = doc["lk"] if doc["lk"] and gen.random() < 0.7 else doc["writhe"]
+        fault = gen.randrange(7)
+        if fault == 5:
+            doc[gen.choice(("k", "m"))] = gen.choice((0, -1, 1.0, True))
+            continue
+        if not rows:
+            continue
+        row = gen.choice(rows)
+        if fault == 0:
+            row[gen.choice(("i", "j") if "j" in row else ("i",))] = gen.choice((0, -1, m + 1))
+        elif fault == 1:
+            row[gen.choice(("ei", "ej") if "j" in row else ("e",))] = gen.choice((2, -1))
+        elif fault == 2:
+            name = gen.choice(list(row))
+            row[name] = gen.choice((1.0, True, "1", None, row[name] * 2**64))
+        elif fault == 3 and "j" in row:
+            row["j"], row["ej"] = row["i"], row["ei"]
+        elif fault == 4:
+            twin = dict(row)
+            if "j" in row and gen.random() < 0.5:
+                twin.update(i=row["j"], ei=row["ej"], j=row["i"], ej=row["ei"])
+            rows.insert(gen.randrange(len(rows) + 1), twin)
+        else:
+            del row[gen.choice(list(row))]
+    return doc
+
+
+def _existing_bad_documents():
+    docs = [doc for doc, _ in _parametrized(test_from_dict_rejects_non_integers)]
+    docs += [{"k": 1, "m": 2, "lk": [{**row, "value": 1}]}
+             for row, _ in _parametrized(test_from_dict_refuses_bad_lifts)]
+    zero_lk = {**GOOD_LK_ROW, "value": 0}
+    zero_writhe = {"i": 2, "e": 1, "value": 0}
+    docs += [
+        {"k": 1, "m": 2, "lk": [GOOD_LK_ROW, {"i": 2, "ei": 1, "j": 1, "ej": 0, "value": 1}]},
+        {"k": 1},
+        {"k": 1, "m": 2, "lk": [{"i": 1}]},
+        {"k": 1, "m": 2, "lk": [zero_lk, zero_lk]},
+        {"k": 1, "m": 2, "writhe": [zero_writhe, zero_writhe]},
+    ]
+    return docs
+
+
+def test_loader_checks_what_the_constructor_checks():
+    gen = random.Random(13)
+    docs = _existing_bad_documents()
+    for _ in range(300):
+        doc = _document(wide_random_diagram(gen), gen)
+        docs += [doc, _spoiled(doc, gen)]
+    outcomes = set()
+    for doc in docs:
+        expected = _built_or_error_class(_constructor_route, doc)
+        loaded = _built_or_error_class(diagram_from_dict, doc)
+        outcomes.add(expected if isinstance(expected, type) else CrossingDiagram)
+        if isinstance(expected, type):
+            assert loaded is expected, doc
+            continue
+        assert loaded == expected and loaded._columns == expected._columns, doc
+        rebuilt = CrossingDiagram(loaded.k, loaded.m, dict(loaded.lk), dict(loaded.writhe))
+        assert loaded == rebuilt and loaded._columns == rebuilt._columns
+    assert outcomes == {CrossingDiagram, ParseError, IndexOutOfRange, AsymmetricEntry}
+
+
+def test_crossing_change_columns_equal_the_constructors():
+    gen = random.Random(14)
+    a, b, c = LiftId(1, 0), LiftId(2, 1), LiftId(3, 0)
+    fixed = CrossingDiagram(k=1, m=3, lk={(a, b): 5, (a, LiftId(1, 1)): 7, (b, c): -2},
+                            writhe={b: 1})
+    diagrams = [fixed] + [wide_random_diagram(gen) for _ in range(100)]
+    for d in diagrams:
+        crossings = sorted({lift.crossing for key in d.lk for lift in key}
+                           | {lift.crossing for lift in d.writhe})
+        for s in (set(), set(crossings), {i for i in crossings if gen.random() < 0.5}):
+            changed = crossing_change(d, s)
+            rebuilt = CrossingDiagram(changed.k, changed.m, dict(changed.lk),
+                                      dict(changed.writhe))
+            assert changed == rebuilt and changed._columns == rebuilt._columns
+    # Both crossings of (a, b) switched: its key flips and its sign stays;
+    # (b, c) has one switched and changes sign.
+    changed = crossing_change(fixed, {1, 2})
+    assert changed.lk[LiftId(1, 1), LiftId(2, 0)] == 5
+    assert fixed._columns.signed == [-5, -7, 2]
+    assert changed._columns.signed == [-5, -7, -2]

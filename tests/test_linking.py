@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -617,3 +618,94 @@ def test_cached_conversions_are_read_only_and_not_compared():
     assert np.array_equal(array, np.array(c1.vertices, dtype=float))
     assert c1 == fresh and hash(c1) == hash(fresh) and repr(c1) == repr(fresh)
     assert {c1: 1}[fresh] == 1
+
+
+def _through_fractions(points):
+    return PolyCurve([tuple(Fraction(x) for x in p) for p in points])
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        hopf_link(16)[0],
+        PolyCurve([(Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)),
+                   (Fraction(5, 2), Fraction(1, 2), Fraction(1, 2)),
+                   (Fraction(1, 2), Fraction(-7, 2), Fraction(3, 2))]),
+        PolyCurve([(Fraction(1, 3), 0, 2), (1, Fraction(2, 7), 0), (0, 1, Fraction(-5, 6))]),
+        PolyCurve([(10**30, 0, 0), (0, 10**30, 1), (0, 0, 2)]),
+    ],
+    ids=["floats", "half-integers", "thirds and sevenths", "large ints"],
+)
+@pytest.mark.parametrize(
+    "offset",
+    [(0, 0, 0), (3, -4, 5), (0.5, 0.25, -1.5), (Fraction(1, 2),) * 3,
+     (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)), (Fraction(-1, 3), 0, Fraction(1, 7)),
+     (Decimal("0.1"), 0, 0), (1e-300, 0, 0)],
+    ids=["zero", "ints", "dyadic floats", "halves", "mixed halves", "thirds", "decimal",
+         "tiny"],
+)
+def test_reversed_and_translated_equal_the_curve_built_through_fractions(curve, offset):
+    reference = _through_fractions(curve.vertices[::-1])
+    assert curve.reversed() == reference and hash(curve.reversed()) == hash(reference)
+    assert curve.reversed().vertices == reference.vertices
+    shift = tuple(Fraction(t) for t in offset)
+    reference = _through_fractions(
+        [(x + shift[0], y + shift[1], z + shift[2]) for x, y, z in curve.vertices])
+    moved = curve.translated(offset)
+    assert moved == reference and hash(moved) == hash(reference)
+    assert (moved._scale, moved._grid) == (reference._scale, reference._grid)
+    assert moved.vertices == reference.vertices
+    assert np.array_equal(moved.as_array(), reference.as_array())
+
+
+def test_translation_recanonicalises_the_scale():
+    halves = PolyCurve([(0.5, 1.5, -0.5), (2.5, 0.5, 0.5), (0.5, -3.5, 1.5)])
+    assert halves._scale == 2
+    moved = halves.translated((Fraction(1, 2),) * 3)
+    assert moved._scale == 1 and moved._grid == ((1, 2, 0), (3, 1, 1), (1, -3, 2))
+    assert moved == PolyCurve([(1, 2, 0), (3, 1, 1), (1, -3, 2)])
+    assert moved.translated((-0.5, -0.5, -0.5)) == halves
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolyCurve([(BIG, 0, 0), (1, 0, 0), (0, 1, 0)]),
+        lambda: PolyCurve([(0, 0, 0), (1, -2**1024, 0), (0, 1, 0)]),
+        lambda: PolyCurve([(0, 0, Fraction(BIG, 3)), (1, 0, 0), (0, 1, 0)]),
+        lambda: PolyCurve([(0.5, 0, 0), (1, 0, 0), (0, Decimal("1e400"), 0)]),
+        lambda: PolyCurve([(0, 0, 0), (1, 0, 0), (0, 1, 0)]).translated((0, 0, BIG)),
+        lambda: PolyCurve([(1e308, 0, 0), (0, 1, 0), (0, 0, 1)]).translated((1e308, 0, 0)),
+        lambda: ProjectionAxis((BIG, 0, 0)),
+    ],
+    ids=["int", "-2**1024", "Fraction", "Decimal", "translated int", "translated float",
+         "axis"],
+)
+def test_coordinates_beyond_the_float_range_are_refused_at_construction(build):
+    with pytest.raises(ParseError):
+        build()
+
+
+def test_coordinates_up_to_the_float_range_build_and_link():
+    top = int(np.finfo(float).max)
+    curve = PolyCurve([(top, 0, 0), (0, top, 0), (-top, -top, 1)])
+    assert curve.as_array()[0, 0] == np.finfo(float).max
+    assert PolyCurve([(0, 0, Fraction(1, BIG)), (1, 0, 0), (0, 1, 0)]).as_array()[0, 2] == 0
+    c1, c2 = (c.translated((top // 2, 0, 0)) for c in hopf_link(8))
+    assert linking_number_pl(c1, c2) == 1 and writhe_pl(c1) == 0
+
+
+def test_projection_axis_caches_its_basis_outside_the_fields():
+    axis = ProjectionAxis((0.6, 0, 0.8))
+    fresh = ProjectionAxis((0.6, 0, 0.8))
+    basis = axis._basis
+    assert axis._basis is basis and basis == _plane_basis(fresh)
+    c1, c2 = hopf_link(8)
+    linking_number_pl(c1, c2, axis)
+    writhe_pl(c1, axis)
+    assert axis == fresh and hash(axis) == hash(fresh) and repr(axis) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(axis)] == ["direction"]
+    assert "_basis" not in repr(axis)
