@@ -709,3 +709,14 @@ def test_projection_axis_caches_its_basis_outside_the_fields():
     assert axis == fresh and hash(axis) == hash(fresh) and repr(axis) == repr(fresh)
     assert [f.name for f in dataclasses.fields(axis)] == ["direction"]
     assert "_basis" not in repr(axis)
+
+
+def test_connected_sum_equals_the_curve_built_through_fractions():
+    meridian = circle((2, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.1)
+    far = circle((8, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.2).translated(
+        (Fraction(1, 3), 0, 0))
+    joined = connected_sum_pl(meridian, far, band=(6, 18))
+    a, b = meridian.vertices, far.vertices
+    reference = _through_fractions(a[6:] + a[:6] + b[18:] + b[:18])
+    assert joined == reference and hash(joined) == hash(reference)
+    assert (joined._scale, joined._grid) == (reference._scale, reference._grid)
