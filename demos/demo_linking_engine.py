@@ -11,7 +11,6 @@ from haefliger import (
     PolyCurve,
     ProjectionAxis,
     circle,
-    connected_sum_pl,
     gauss_linking_quadrature,
     linking_number_pl,
     writhe_pl,
@@ -51,12 +50,3 @@ for _ in range(3):
 print("\n=== Writhe ===")
 kink = PolyCurve([(0, 0, 0), (2, 2, 0), (2, 0, 1), (0, 2, 1)])
 print("single negative kink:", writhe_pl(kink))
-
-print("\n=== Connected sum additivity ===")
-base = circle((0, 0, 0), 2.0, (0, 0, 1), n=32)
-meridian = circle((2, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.1)
-far = circle((8, 0, 0), 0.8, (0, 1, 0), n=24, phase=0.2)
-print("lk(meridian, base):", linking_number_pl(meridian, base))
-print("lk(far, base):     ", linking_number_pl(far, base))
-joined = connected_sum_pl(meridian, far, band=(6, 18), avoid=[base])
-print("lk(sum, base):     ", linking_number_pl(joined, base))

@@ -27,7 +27,6 @@ _SUBMODULES: dict[str, tuple[str, ...]] = {
         "PolyCurve",
         "ProjectionAxis",
         "circle",
-        "connected_sum_pl",
         "curves_from_dict",
         "curves_to_dict",
         "gauss_linking_quadrature",

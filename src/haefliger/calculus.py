@@ -40,6 +40,7 @@ from .errors import (
     HaefligerError,
     InconsistentEvent,
     IndexOutOfRange,
+    ParseError,
 )
 
 if TYPE_CHECKING:
@@ -188,6 +189,10 @@ class HomotopyEvent:
     ``pattern`` (one of ``TRIPLE_PATTERNS``) records which of the three
     double-point components coincide.  ``sign`` is the direction of
     travel through the stratum, supplied by the caller.
+
+    ``sign``, ``index`` (when given), ``lk00`` and ``lk11`` must be
+    exactly ``int`` and ``joins_components`` exactly ``bool``; anything
+    else (a bool sign, a float index) is ParseError, never coerced.
     """
 
     kind: EventKind
@@ -201,6 +206,10 @@ class HomotopyEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise InconsistentEvent(f"unknown event kind {self.kind!r}")
+        index = 0 if self.index is None else self.index
+        if ({type(self.sign), type(index), type(self.lk00), type(self.lk11)} != {int}
+                or type(self.joins_components) is not bool):
+            raise ParseError(f"event fields of the wrong type: {self!r}")
         if self.sign not in (1, -1):
             raise InconsistentEvent("event sign must be +1 or -1")
         if self.kind == "indefinite_tangency" and self.index is None:
@@ -217,8 +226,7 @@ def e_jump(event: HomotopyEvent, k: int) -> Fraction:
     2k-1) and the deformation joins two components.  Triple points jump
     by 1/4 except in the two coincidence patterns that cancel.
     """
-    if k < 1:
-        raise IndexOutOfRange("k must be a positive integer")
+    _check_k(k)
     if event.kind == "definite_tangency":
         return Fraction(0)
     if event.kind == "indefinite_tangency":
@@ -232,6 +240,13 @@ def e_jump(event: HomotopyEvent, k: int) -> Fraction:
     if event.pattern in ("i_eq_j", "j_eq_p"):
         return Fraction(0)
     return event.sign * Fraction(1, 4)
+
+
+def _check_k(k: int) -> None:
+    if type(k) is not int:
+        raise ParseError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise IndexOutOfRange("k must be a positive integer")
 
 
 def smale_from_h(h: Fraction | int) -> Fraction:
@@ -335,6 +350,5 @@ def _det_exact(mat: list[list[int]]) -> int:
 
 def jacobian_det(k: int) -> int:
     """Determinant of the crossing-count Jacobian; -1 for every k >= 1."""
-    if k < 1:
-        raise IndexOutOfRange("k must be a positive integer")
+    _check_k(k)
     return _det_exact(_jacobian_matrix(k))

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from . import calculus, diagram
 from .errors import (
     AsymmetricEntry,
-    BandObstructed,
     CurvesIntersect,
     DuplicateIndex,
     HaefligerError,
@@ -41,6 +40,8 @@ from .errors import (
 if TYPE_CHECKING:
     from . import linking
 
+# Code 9 is retired: scripts written against it may still test for it,
+# so it is never reused.
 EXIT_CODES = {
     ParseError: 2,
     IndexOutOfRange: 3,
@@ -49,7 +50,6 @@ EXIT_CODES = {
     InconsistentEvent: 6,
     NonGenericProjection: 7,
     CurvesIntersect: 8,
-    BandObstructed: 9,
     InvalidParams: 10,
     MalformedToken: 11,
     LabelMismatch: 12,

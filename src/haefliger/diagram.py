@@ -221,7 +221,8 @@ def make_diagram(
     Each pair is stored under its canonical key.  Duplicate unordered
     pairs with conflicting values raise :class:`AsymmetricEntry`;
     consistent duplicates are collapsed.  Zero entries are dropped
-    (missing means 0).
+    (missing means 0), after their lifts are range-checked as the
+    constructor checks the others.
     """
     table: dict[PairKey, int] = {}
     for a, b, value in lk:
@@ -236,12 +237,16 @@ def make_diagram(
         if lift in wr and wr[lift] != value:
             raise AsymmetricEntry(f"conflicting writhes for {lift}")
         wr[lift] = value
-    return CrossingDiagram(
+    d = CrossingDiagram(
         k=k,
         m=m,
         lk={key: v for key, v in table.items() if v != 0},
         writhe={l: v for l, v in wr.items() if v != 0},
     )
+    for lift in [*(l for key, v in table.items() if v == 0 for l in key),
+                 *(l for l, v in wr.items() if v == 0)]:
+        _check_lift(lift, m)
+    return d
 
 
 def crossing_change(d: CrossingDiagram, switched: Iterable[int]) -> CrossingDiagram:
@@ -317,8 +322,8 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
     columns itself, so each row is read once.  Errors come in the order
     of reading the whole document first and checking ranges after: any
     ParseError or AsymmetricEntry of a row wins over a range error
-    (IndexOutOfRange) of an earlier one.  A zero row is only read, never
-    range-checked.
+    (IndexOutOfRange) of an earlier one.  A zero row is range-checked
+    like any other, then dropped.
     """
     # One LiftId per lift, shared by every key that names it, found by
     # 2i + e: with levels 0/1 that number orders lifts as lift_lt does.
@@ -350,8 +355,7 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
                 # pair_key refuses identical lifts now; a range error waits
                 # until the whole document is read.
                 a, b = key = pair_key(LiftId(row["i"], ei), LiftId(row["j"], ej))
-                if value:
-                    deferred = deferred or _lift_error(a, m) or _lift_error(b, m)
+                deferred = deferred or _lift_error(a, m) or _lift_error(b, m)
             if key in lk or zero_pairs and key in zero_pairs:
                 raise ParseError(f"duplicate lk entry for pair {key}")
             if not value:
@@ -368,10 +372,10 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
             lift = 0 <= e <= 1 and lifts.get(i + i + e) or LiftId(i, e)
             if lift in writhe or lift in zero_lifts:
                 raise ParseError(f"duplicate writhe entry for {lift}")
+            deferred = deferred or _lift_error(lift, m)
             if not value:
                 zero_lifts.add(lift)
                 continue
-            deferred = deferred or _lift_error(lift, m)
             writhe[lift] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc

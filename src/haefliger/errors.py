@@ -34,10 +34,6 @@ class CurvesIntersect(HaefligerError):
     """Two curves (or a curve and itself) meet in R^3, decided exactly."""
 
 
-class BandObstructed(HaefligerError):
-    """A connected-sum band hits a curve or introduces new crossings."""
-
-
 class InvalidParams(HaefligerError):
     """Construction parameters violate a standing hypothesis."""
 

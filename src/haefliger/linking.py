@@ -35,13 +35,7 @@ from itertools import combinations
 from math import gcd, isfinite, lcm, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import (
-    BandObstructed,
-    CurvesIntersect,
-    InvalidParams,
-    NonGenericProjection,
-    ParseError,
-)
+from .errors import CurvesIntersect, InvalidParams, NonGenericProjection, ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,12 +90,11 @@ class PolyCurve:
     a float.  ``vertices`` (as Fractions) and the float array are made on
     first use and cached outside the fields.
 
-    ``reversed``, ``translated`` and ``connected_sum_pl`` build their
-    curves from grids through the private classmethod ``_from_grid``,
-    which only assigns, with the code that ends the constructor: its
-    grid must be canonical (no common factor of the scale and every
-    coordinate), in float range and free of coinciding consecutive
-    vertices.
+    ``reversed`` and ``translated`` build their curves from grids
+    through the private classmethod ``_from_grid``, which only assigns,
+    with the code that ends the constructor: its grid must be canonical
+    (no common factor of the scale and every coordinate), in float range
+    and free of coinciding consecutive vertices.
     """
 
     _scale: int
@@ -161,10 +154,6 @@ class PolyCurve:
         return tuple(
             (Fraction(x, d), Fraction(y, d), Fraction(z, d)) for x, y, z in self._grid
         )
-
-    def segments(self) -> list[tuple[Vec3, Vec3]]:
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def reversed(self) -> "PolyCurve":
         return PolyCurve._from_grid(self._scale, self._grid[::-1])
@@ -335,17 +324,10 @@ def _on_one_grid(curves: Sequence[PolyCurve]) -> list[Segment]:
     scale = lcm(*(c._scale for c in curves))
     segs = []
     for c in curves:
-        verts = _rescaled(c, scale)
+        f = scale // c._scale
+        verts = c._grid if f == 1 else tuple((x * f, y * f, z * f) for x, y, z in c._grid)
         segs.extend(zip(verts, verts[1:] + verts[:1]))
     return segs
-
-
-def _rescaled(curve: PolyCurve, scale: int) -> tuple[tuple[int, int, int], ...]:
-    """The curve's grid on ``scale``, a multiple of its own scale."""
-    if curve._scale == scale:
-        return curve._grid
-    f = scale // curve._scale
-    return tuple((x * f, y * f, z * f) for x, y, z in curve._grid)
 
 
 def _project(points: np.ndarray, basis) -> np.ndarray:
@@ -473,56 +455,6 @@ def gauss_linking_quadrature(
     integrand = (cross * r).sum(axis=2) / dist**3
     # Fixed summation order for reproducibility.
     return float(integrand.sum()) / (4.0 * np.pi)
-
-
-def connected_sum_pl(
-    m1: PolyCurve,
-    m2: PolyCurve,
-    band: tuple[int, int],
-    avoid: Sequence[PolyCurve] = (),
-    axis: ProjectionAxis = EZ,
-) -> PolyCurve:
-    """Join two disjoint closed curves by a band at the given vertices.
-
-    The band replaces the edge entering vertex ``band[0]`` of ``m1`` and
-    the edge entering ``band[1]`` of ``m2`` by two straight connector
-    segments.  ``m1`` and ``m2`` must be disjoint (decided exactly, else
-    :class:`CurvesIntersect`).  If a connector meets the other connector
-    or any input curve (decided exactly), or crosses a curve in ``avoid``
-    in projection, the band is obstructed and the sum would not satisfy
-    the linking-additivity hypothesis.
-    """
-    i1, i2 = band
-    if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
-        raise ParseError("band vertex index out of range")
-    _check_disjoint([m1, m2])
-    # Two canonical grids on the lcm of their scales make a canonical one,
-    # and the curves are disjoint, so the joined vertices are distinct.
-    scale = lcm(m1._scale, m2._scale)
-    a, b = _rescaled(m1, scale), _rescaled(m2, scale)
-    result = PolyCurve._from_grid(scale, a[i1:] + a[:i1] + b[i2:] + b[:i2])
-
-    v, n1 = result.vertices, len(m1)
-    new_segs = [(v[n1 - 1], v[n1]), (v[-1], v[0])]
-    for curve in (m1, m2, *avoid):
-        for seg2 in curve.segments():
-            for seg1 in new_segs:
-                # Segments sharing a band endpoint legitimately touch.
-                if seg1[0] in seg2 or seg1[1] in seg2:
-                    continue
-                if _segments_meet(seg1, seg2):
-                    raise BandObstructed("band passes through a curve")
-    if _segments_meet(*new_segs):
-        raise BandObstructed("band connectors meet each other")
-    basis = axis._basis
-    for curve in avoid:
-        for seg2 in curve.segments():
-            for seg1 in new_segs:
-                if _segment_crossings(seg1, seg2, basis):
-                    raise BandObstructed(
-                        "band adds projection crossings with a protected curve"
-                    )
-    return result
 
 
 def circle(

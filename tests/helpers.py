@@ -5,15 +5,17 @@ code under test: Gauss codes come from braid closures, curves from
 direct parametrizations, crossing signs from a rational-division
 crossing test that shares no code with the library's integer one, and
 signed pair sums from a walk of a diagram's ``lk`` mapping, key by key,
-which the library's integer columns replaced.
+which the library's integer columns replaced.  Band sums, which the
+library does not provide, are built here from ``Fraction`` vertices;
+only their exact 3D disjointness tests are the library's.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from haefliger.errors import CurvesIntersect, NonGenericProjection
-from haefliger.linking import PolyCurve, circle
+from haefliger.errors import CurvesIntersect, NonGenericProjection, ParseError
+from haefliger.linking import PolyCurve, _check_disjoint, _segments_meet, circle
 
 
 def braid_closure_code(word, strands):
@@ -214,18 +216,66 @@ def crossing_sign_oracle(seg1, seg2, basis):
     return 1 if over[0] * under[1] - over[1] * under[0] > 0 else -1
 
 
+def curve_segments(curve):
+    """The closed curve's edges, as pairs of consecutive Fraction vertices."""
+    v = curve.vertices
+    return list(zip(v, v[1:] + v[:1]))
+
+
 def naive_linking_oracle(m, n, direction=(0, 0, 1)):
     """Half the signed crossing count over all segment pairs of two curves:
     no prefilter, no integer grid, no shared crossing bookkeeping."""
     basis = plane_basis_oracle(direction)
     total = sum(
         crossing_sign_oracle(s1, s2, basis)
-        for s1 in m.segments()
-        for s2 in n.segments()
+        for s1 in curve_segments(m)
+        for s2 in curve_segments(n)
     )
     if total % 2:
         raise NonGenericProjection("odd signed crossing count")
     return total // 2
+
+
+class BandObstructed(Exception):
+    """A band connector meets a curve or the other connector, or crosses
+    a protected curve in projection."""
+
+
+def connected_sum_pl(m1, m2, band, avoid=()):
+    """Join two disjoint closed curves by a band at the given vertices.
+
+    The band replaces the edge entering vertex ``band[0]`` of ``m1`` and
+    the edge entering ``band[1]`` of ``m2`` by two straight connector
+    segments.  Summands that meet raise CurvesIntersect.  If a connector
+    meets the other connector or an input curve, or crosses a curve in
+    ``avoid`` in the projection along z, the band is obstructed: the sum
+    would not satisfy the linking-additivity hypothesis.
+    """
+    i1, i2 = band
+    if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
+        raise ParseError("band vertex index out of range")
+    _check_disjoint([m1, m2])
+    a, b = m1.vertices, m2.vertices
+    joined = PolyCurve(a[i1:] + a[:i1] + b[i2:] + b[:i2])
+    connectors = [(a[i1 - 1], b[i2]), (b[i2 - 1], a[i1])]
+    for seg2 in [s for c in (m1, m2, *avoid) for s in curve_segments(c)]:
+        for seg1 in connectors:
+            # Segments sharing a band endpoint legitimately touch.
+            if seg1[0] in seg2 or seg1[1] in seg2:
+                continue
+            if _segments_meet(seg1, seg2):
+                raise BandObstructed("band passes through a curve")
+    if _segments_meet(*connectors):
+        raise BandObstructed("band connectors meet each other")
+    basis = plane_basis_oracle((0, 0, 1))
+    for curve in avoid:
+        for seg2 in curve_segments(curve):
+            for seg1 in connectors:
+                if crossing_sign_oracle(seg1, seg2, basis):
+                    raise BandObstructed(
+                        "band adds projection crossings with a protected curve"
+                    )
+    return joined
 
 
 def signed_pair_sum_oracle(d, switched=frozenset()):

@@ -24,6 +24,7 @@ from haefliger.errors import (
     HaefligerError,
     InconsistentEvent,
     IndexOutOfRange,
+    ParseError,
 )
 from haefliger.generator import generator_diagram
 
@@ -382,6 +383,31 @@ def test_homotopy_event_validation():
         HomotopyEvent(kind="indefinite_tangency")
     with pytest.raises(InconsistentEvent):
         HomotopyEvent(kind="triple_point", pattern="nonsense")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HomotopyEvent(kind="triple_point", sign=True, pattern="all_distinct"),
+        lambda: HomotopyEvent(kind="triple_point", sign=-1.0, pattern="all_distinct"),
+        lambda: HomotopyEvent(kind="indefinite_tangency", index=1.0),
+        lambda: HomotopyEvent(kind="indefinite_tangency", index="1"),
+        lambda: HomotopyEvent(kind="indefinite_tangency", index=True),
+        lambda: HomotopyEvent(kind="definite_tangency", lk00=0.5),
+        lambda: HomotopyEvent(kind="definite_tangency", lk11=False),
+        lambda: HomotopyEvent(kind="definite_tangency", joins_components=1),
+        lambda: e_jump(HomotopyEvent(kind="definite_tangency"), 1.0),
+        lambda: e_jump(HomotopyEvent(kind="definite_tangency"), True),
+        lambda: jacobian_det(True),
+        lambda: jacobian_det("2"),
+    ],
+    ids=["bool sign", "float sign", "float index", "str index", "bool index",
+         "float lk00", "bool lk11", "int joins", "float k of e_jump",
+         "bool k of e_jump", "bool k of jacobian_det", "str k of jacobian_det"],
+)
+def test_event_fields_and_k_are_never_coerced(build):
+    with pytest.raises(ParseError):
+        build()
 
 
 def test_smale_from_h():

@@ -259,6 +259,14 @@ def test_error_exit_codes(capsys, tmp_path):
     }))
     assert cli.run(["delta-h", str(bad), "--switch", "1"]) == 3
     capsys.readouterr()
+    # Zero rows are range-checked too, before they are dropped.
+    bad.write_text(json.dumps({
+        "k": 1, "m": 2,
+        "lk": [{"i": 5, "ei": 0, "j": 1, "ej": 7, "value": 0}],
+        "writhe": [{"i": 9, "e": 3, "value": 0}],
+    }))
+    assert cli.run(["delta-h", str(bad), "--switch", "1"]) == 3
+    capsys.readouterr()
     assert cli.run(["v2", "O1+X"]) == 11
     capsys.readouterr()
     assert cli.run(["v2", "O1+U1-"]) == 12

@@ -22,6 +22,14 @@ EXPECTED_LINES = {
         "matches the six-crossing diagram: True",
         "invariant of the generator: 1",
     ),
+    "demo_linking_engine.py": (
+        "exact lk: 1",
+        "reversed component: -1",
+        "n = 1: lk = 1",
+        "n = 2: lk = 2",
+        "n = 3: lk = 3",
+        "single negative kink: -1",
+    ),
 }
 
 

@@ -286,6 +286,26 @@ def test_from_dict_drops_zeros_and_rejects_repeats():
         diagram_from_dict({**doc, "writhe": [zero_writhe, zero_writhe]})
 
 
+ZERO_ROWS_OUT_OF_RANGE = [
+    {"k": 1, "m": 2, "lk": [{"i": 5, "ei": 0, "j": 1, "ej": 0, "value": 0}]},
+    {"k": 1, "m": 2, "lk": [{"i": 1, "ei": 0, "j": 1, "ej": 7, "value": 0}]},
+    {"k": 1, "m": 2, "writhe": [{"i": 9, "e": 0, "value": 0}]},
+    {"k": 1, "m": 2, "writhe": [{"i": 1, "e": 3, "value": 0}]},
+]
+
+
+@pytest.mark.parametrize("doc", ZERO_ROWS_OUT_OF_RANGE)
+def test_zero_rows_are_range_checked(doc):
+    # A zero row names lifts like any other, so both routes refuse one
+    # outside 1..m or off levels 0/1 before dropping it.
+    with pytest.raises(IndexOutOfRange):
+        diagram_from_dict(doc)
+    lk = [(LiftId(r["i"], r["ei"]), LiftId(r["j"], r["ej"]), 0) for r in doc.get("lk", [])]
+    writhe = [(LiftId(r["i"], r["e"]), 0) for r in doc.get("writhe", [])]
+    with pytest.raises(IndexOutOfRange):
+        make_diagram(doc["k"], doc["m"], lk=lk, writhe=writhe)
+
+
 def test_from_dict_equals_make_diagram():
     # Rows in any order and either orientation, zeros included.
     gen = random.Random(12)
@@ -344,7 +364,8 @@ def _parametrized(test):
 def _constructor_route(doc):
     """The document read row by row into pair_key-ordered dicts, repeats
     refused and zeros dropped, and every other rule left to the
-    constructor."""
+    constructor; the lifts of the dropped zero rows are range-checked
+    after it."""
     try:
         k, m = doc["k"], doc["m"]
         if type(k) is not int or type(m) is not int:
@@ -367,8 +388,12 @@ def _constructor_route(doc):
             writhe[LiftId(i, e)] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed") from exc
-    return CrossingDiagram(k, m, {key: v for key, v in lk.items() if v},
-                           {lift: v for lift, v in writhe.items() if v})
+    d = CrossingDiagram(k, m, {key: v for key, v in lk.items() if v},
+                        {lift: v for lift, v in writhe.items() if v})
+    for lift in [*(lift for key in lk for lift in key), *writhe]:
+        if not (1 <= lift.crossing <= m and lift.level in (0, 1)):
+            raise IndexOutOfRange(f"zero row on {lift}")
+    return d
 
 
 def _built_or_error_class(build, *args):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haefliger.errors import (
-    BandObstructed,
     CurvesIntersect,
     InvalidParams,
     NonGenericProjection,
@@ -26,7 +25,6 @@ from haefliger.linking import (
     _segments_meet,
     _to_vec3,
     circle,
-    connected_sum_pl,
     curves_from_dict,
     curves_to_dict,
     gauss_linking_quadrature,
@@ -36,6 +34,8 @@ from haefliger.linking import (
 )
 
 from helpers import (
+    BandObstructed,
+    connected_sum_pl,
     crossing_sign_oracle,
     dense_box_pairs,
     hopf_link,

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+from haefliger import cli, errors
+
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "haefliger").glob("*.py"))
 
 
@@ -92,3 +94,26 @@ def test_numpy_import_rule_sees_every_import_form():
     )
     assert module_level_numpy_imports(ast.parse(flagged)) == [1, 2, 3, 5, 9, 11]
     assert module_level_numpy_imports(ast.parse(allowed)) == []
+
+
+def test_exit_codes_map_exactly_the_errors_the_library_raises():
+    # An error class only the tests raise, or one without its own exit
+    # code, fails here; code 9 is retired and is not reused.
+    defined = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.HaefligerError)
+        and cls is not errors.HaefligerError
+    }
+    assert set(cli.EXIT_CODES) == defined
+    codes = list(cli.EXIT_CODES.values())
+    assert len(set(codes)) == len(codes)
+    assert 9 not in codes
+    # A class counts as raised where it is built: some helpers return
+    # the error for their caller to raise.
+    built = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for path in SOURCES if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert sorted(cls.__name__ for cls in defined if cls.__name__ not in built) == []
