@@ -192,7 +192,10 @@ class HomotopyEvent:
 
     ``sign``, ``index`` (when given), ``lk00`` and ``lk11`` must be
     exactly ``int`` and ``joins_components`` exactly ``bool``; anything
-    else (a bool sign, a float index) is ParseError, never coerced.
+    else (a bool sign, a float index) is ParseError, never coerced.  A
+    field of another kind than ``kind`` (a pattern on a tangency, an
+    index, a join or a nonzero lk00/lk11 off an indefinite tangency) is
+    InconsistentEvent; its default value is allowed on every kind.
     """
 
     kind: EventKind
@@ -212,10 +215,19 @@ class HomotopyEvent:
             raise ParseError(f"event fields of the wrong type: {self!r}")
         if self.sign not in (1, -1):
             raise InconsistentEvent("event sign must be +1 or -1")
-        if self.kind == "indefinite_tangency" and self.index is None:
-            raise InconsistentEvent("indefinite tangency needs a quadratic index")
-        if self.kind == "triple_point" and self.pattern not in TRIPLE_PATTERNS:
-            raise InconsistentEvent(f"bad triple-point pattern {self.pattern!r}")
+        if self.kind == "indefinite_tangency":
+            if self.index is None:
+                raise InconsistentEvent("indefinite tangency needs a quadratic index")
+        elif (self.index is not None or self.joins_components
+                or self.lk00 or self.lk11):
+            raise InconsistentEvent(
+                f"index, joins_components, lk00 and lk11 belong to an"
+                f" indefinite tangency, not a {self.kind}")
+        if self.kind == "triple_point":
+            if self.pattern not in TRIPLE_PATTERNS:
+                raise InconsistentEvent(f"bad triple-point pattern {self.pattern!r}")
+        elif self.pattern is not None:
+            raise InconsistentEvent(f"a pattern belongs to a triple point, not a {self.kind}")
 
 
 def e_jump(event: HomotopyEvent, k: int) -> Fraction:

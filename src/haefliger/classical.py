@@ -3,8 +3,10 @@
 The dimension-3 counterpart of the crossing-change calculus: a knot
 diagram is ingested as an extended Gauss code, the X-pairing sums the
 products of signs over linked (interleaved) arrow pairs, and the order-2
-invariant v2 is recovered as a quarter of the pairing difference between
-the diagram and its descending (hence trivial) companion.
+invariant v2 is a quarter of the pairing difference between the diagram
+and its descending (hence trivial) companion.  ``v2`` computes that in
+one pass, in the form of Lin and Wang: half the sign products over the
+linked pairs that the descending switch splits.
 
 An independent skein-recursion oracle computes the z^2 coefficient of
 the Conway polynomial for cross-checking; it shares no code path with
@@ -159,18 +161,28 @@ def rotate_basepoint(diagram: GaussDiagramK, shift: int) -> GaussDiagramK:
 
 
 def v2(diagram: GaussDiagramK) -> int:
-    """Order-2 invariant via the descending-diagram pairing difference.
+    """Order-2 invariant: half the sum of sign products over the linked
+    arrow pairs with exactly one arrow in ``descending_set``.
+
+    Switching an arrow negates its sign and keeps its endpoints, so the
+    descending switch negates just these products: the pairing difference
+    ``x_pairing(g) - x_pairing(switch(g, descending_set(g)))`` is twice
+    the sum, and v2, a quarter of that difference, is half the sum.  An
+    odd sum raises NonIntegerResult.
 
     Defined for realizable (planar) codes only; a non-realizable code is
     not refused and gives a meaningless value (see the module docstring).
     """
-    descended = switch(diagram, descending_set(diagram))
-    difference = x_pairing(diagram) - x_pairing(descended)
-    if difference % 4 != 0:
-        raise NonIntegerResult(
-            f"pairing difference {difference} is not divisible by 4"
-        )
-    return difference // 4
+    arrows = diagram.arrows
+    total = 0
+    for i, a in enumerate(arrows):
+        descends = a.under < a.over
+        for b in arrows[i + 1:]:
+            if (b.under < b.over) != descends and _interleaved(a, b):
+                total += a.sign * b.sign
+    if total % 2:
+        raise NonIntegerResult(f"split pairing sum {total} is odd")
+    return total // 2
 
 
 # --- Conway polynomial oracle ----------------------------------------------

@@ -77,7 +77,9 @@ class CrossingDiagram:
 
     The diagram is read once, at construction.  ``lk`` and ``writhe``
     are copied and exposed as read-only mappings, so changing the dicts
-    passed in changes nothing here.  The same pass that checks an entry
+    passed in changes nothing here.  A zero value is checked like any
+    other, then left out of the copy (missing means 0), so every route
+    drops zeros.  The same pass that checks an entry
     also records, in integer columns, the crossings of its two lifts and
     its signed value (-1)^(e+f) lk, plus the signed pair sum and the
     total writhe; the calculus reads only these, so a query costs one
@@ -113,12 +115,12 @@ class CrossingDiagram:
             raise ParseError(f"k and m must be integers, got k={self.k!r}, m={self.m!r}")
         _check_shape(self.k, self.m)
         m = self.m
-        lk = dict(self.lk)
-        writhe = dict(self.writhe)
+        lk = {}
+        writhe = {}
         lower: list[int] = []
         upper: list[int] = []
         signed: list[int] = []
-        for key, value in lk.items():
+        for key, value in self.lk.items():
             (i, e), (j, f) = key
             # Every field an int, both lifts in range and lift_lt(a, b), in
             # one test that allocates nothing: every diagram constructed
@@ -132,13 +134,17 @@ class CrossingDiagram:
                 if not lift_lt(a, b):
                     raise AsymmetricEntry(f"key {key} not in canonical order")
                 raise ParseError(f"lk value for {key} must be an integer, got {value!r}")
-            lower.append(i)
-            upper.append(j)
-            signed.append(-value if e != f else value)
-        for lift, value in writhe.items():
+            if value:
+                lk[key] = value
+                lower.append(i)
+                upper.append(j)
+                signed.append(-value if e != f else value)
+        for lift, value in self.writhe.items():
             _check_lift(lift, m)
             if type(value) is not int:
                 raise ParseError(f"writhe of {lift} must be an integer, got {value!r}")
+            if value:
+                writhe[lift] = value
         self._assign(self.k, m, lk, writhe, _Columns(
             lower, upper, signed, sum(signed), sum(writhe.values())))
 
@@ -220,9 +226,8 @@ def make_diagram(
 
     Each pair is stored under its canonical key.  Duplicate unordered
     pairs with conflicting values raise :class:`AsymmetricEntry`;
-    consistent duplicates are collapsed.  Zero entries are dropped
-    (missing means 0), after their lifts are range-checked as the
-    constructor checks the others.
+    consistent duplicates are collapsed.  The constructor checks every
+    entry and drops the zero ones.
     """
     table: dict[PairKey, int] = {}
     for a, b, value in lk:
@@ -237,16 +242,7 @@ def make_diagram(
         if lift in wr and wr[lift] != value:
             raise AsymmetricEntry(f"conflicting writhes for {lift}")
         wr[lift] = value
-    d = CrossingDiagram(
-        k=k,
-        m=m,
-        lk={key: v for key, v in table.items() if v != 0},
-        writhe={l: v for l, v in wr.items() if v != 0},
-    )
-    for lift in [*(l for key, v in table.items() if v == 0 for l in key),
-                 *(l for l, v in wr.items() if v == 0)]:
-        _check_lift(lift, m)
-    return d
+    return CrossingDiagram(k=k, m=m, lk=table, writhe=wr)
 
 
 def crossing_change(d: CrossingDiagram, switched: Iterable[int]) -> CrossingDiagram:

@@ -14,16 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi, sqrt
-from typing import TYPE_CHECKING
+from math import cos, pi, sin, sqrt
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import InvalidParams
 from .linking import PolyCurve, linking_matrix
 from .calculus import delta_h_reduced
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The six Hopf-linked pairs of double point components, grouped by the
 # sphere containing them.
@@ -76,38 +72,33 @@ class LabeledCurve:
     curve: PolyCurve
 
 
+Point2 = tuple[float, float]
+
+
 def _torus_embed(
-    theta: np.ndarray, disc: np.ndarray, ring_radius: float, offset: np.ndarray
+    face: list[tuple[float, Point2]], ring_radius: float,
+    offset: tuple[float, float, float],
 ) -> PolyCurve:
     """Embed face coordinates (angle, disc point) as a solid torus in R^3."""
-    import numpy as np
-
-    x = (ring_radius + disc[:, 0]) * np.cos(theta)
-    y = (ring_radius + disc[:, 0]) * np.sin(theta)
-    z = disc[:, 1]
-    pts = np.stack([x, y, z], axis=1) + offset
-    return PolyCurve(pts.tolist())
+    ox, oy, oz = offset
+    return PolyCurve([
+        ((ring_radius + a) * cos(theta) + ox, (ring_radius + a) * sin(theta) + oy, b + oz)
+        for theta, (a, b) in face
+    ])
 
 
-def _fiber(d0, ring_radius, offset, n) -> PolyCurve:
-    import numpy as np
-
-    theta = 2.0 * pi * (np.arange(n) + 0.31) / n
-    disc = np.repeat(np.asarray(d0, dtype=float)[None, :], n, axis=0)
-    return _torus_embed(theta, disc, ring_radius, offset)
+def _fiber(d0: Point2, ring_radius, offset, n) -> PolyCurve:
+    face = [(2.0 * pi * (t + 0.31) / n, d0) for t in range(n)]
+    return _torus_embed(face, ring_radius, offset)
 
 
-def _cross_section(theta0, center, radius, ring_radius, offset, n) -> PolyCurve:
-    import numpy as np
-
+def _cross_section(theta0, center: Point2, radius, ring_radius, offset, n) -> PolyCurve:
+    c0, c1 = center
     # Reversed so every Hopf pair computes to +1, pinning the global sign
     # convention.
-    psi = (2.0 * pi * (np.arange(n) + 0.17) / n)[::-1]
-    disc = np.asarray(center, dtype=float)[None, :] + radius * np.stack(
-        [np.cos(psi), np.sin(psi)], axis=1
-    )
-    theta = np.full(n, float(theta0))
-    return _torus_embed(theta, disc, ring_radius, offset)
+    psis = [2.0 * pi * (t + 0.17) / n for t in reversed(range(n))]
+    face = [(theta0, (c0 + radius * cos(psi), c1 + radius * sin(psi))) for psi in psis]
+    return _torus_embed(face, ring_radius, offset)
 
 
 def generator_double_point_curves(
@@ -122,35 +113,33 @@ def generator_double_point_curves(
     """
     if params.k != 1:
         raise InvalidParams("explicit curves are only constructed for k = 1")
-    import numpy as np
-
     alpha = float(params.alpha)
     beta = float(params.beta)
     bp = beta / sqrt(2.0)  # offset magnitude along the diagonal direction
-    plus = np.array([bp, bp])
+    plus, minus = (bp, bp), (-bp, -bp)
     ring = 2.0 * alpha
     offsets = {
-        "X": np.array([0.0, 0.0, 0.0]),
-        "Y": np.array([8.0 * alpha, 0.0, 0.0]),
-        "Z": np.array([16.0 * alpha, 0.0, 0.0]),
+        "X": (0.0, 0.0, 0.0),
+        "Y": (8.0 * alpha, 0.0, 0.0),
+        "Z": (16.0 * alpha, 0.0, 0.0),
     }
     quarter = pi / 4.0
 
     # (lift, sphere, kind, placement); fibers sit at a disc point, cross
     # sections at an angle with a disc-circle center.
-    spec: list[tuple[LiftId, str, str, np.ndarray, float]] = [
+    spec: list[tuple[LiftId, str, str, Point2, float]] = [
         (LiftId(1, 1), "X", "fiber", plus, 0.0),
-        (LiftId(2, 0), "X", "fiber", -plus, 0.0),
+        (LiftId(2, 0), "X", "fiber", minus, 0.0),
         (LiftId(6, 1), "X", "section", plus, quarter),
-        (LiftId(5, 0), "X", "section", -plus, quarter + pi),
+        (LiftId(5, 0), "X", "section", minus, quarter + pi),
         (LiftId(3, 1), "Y", "fiber", plus, 0.0),
-        (LiftId(4, 0), "Y", "fiber", -plus, 0.0),
+        (LiftId(4, 0), "Y", "fiber", minus, 0.0),
         (LiftId(2, 1), "Y", "section", plus, quarter),
-        (LiftId(1, 0), "Y", "section", -plus, quarter + pi),
+        (LiftId(1, 0), "Y", "section", minus, quarter + pi),
         (LiftId(5, 1), "Z", "fiber", plus, 0.0),
-        (LiftId(6, 0), "Z", "fiber", -plus, 0.0),
+        (LiftId(6, 0), "Z", "fiber", minus, 0.0),
         (LiftId(4, 1), "Z", "section", plus, quarter),
-        (LiftId(3, 0), "Z", "section", -plus, quarter + pi),
+        (LiftId(3, 0), "Z", "section", minus, quarter + pi),
     ]
     out = []
     for lift, sphere, kind, place, angle in spec:

@@ -17,8 +17,10 @@ is constructed; its ``Fraction`` vertices and its float array are made
 on first use.  Floats only serve a box prefilter, one sort-and-sweep over
 every segment of the set.
 
-numpy is imported inside the float functions, not at module level, so
-``import haefliger`` and the pure-arithmetic commands never load it.
+numpy is imported only inside the five float functions: ``_array``,
+``_project``, ``_box_pairs``, ``_resample`` and
+``gauss_linking_quadrature``.  Building and writing curves needs none of
+it, so ``import haefliger`` and the pure-arithmetic commands never load it.
 
 Crossing sign convention: the sign of a crossing is the orientation of
 the frame (over-strand tangent, under-strand tangent, projection axis),
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isfinite, lcm, sqrt
+from math import cos, isfinite, lcm, pi, sin, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CurvesIntersect, InvalidParams, NonGenericProjection, ParseError
@@ -61,19 +63,6 @@ def _ratio(x) -> tuple[int, int]:
     return int(n), int(d)
 
 
-def _grid(ints: list[int]) -> tuple[tuple[int, int, int], ...]:
-    return tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
-
-
-def _check_float_range(scale: int, ints: list[int]) -> None:
-    """Refuse a grid with a coordinate that no float can hold: the float
-    prefilter needs every coordinate as a finite float."""
-    try:
-        max(max(ints), -min(ints)) / scale
-    except OverflowError:
-        raise ParseError("a coordinate is beyond the float range") from None
-
-
 @dataclass(frozen=True, repr=False)
 class PolyCurve:
     """Closed oriented polyline; the vertex list is implicitly closed.
@@ -89,12 +78,6 @@ class PolyCurve:
     with ParseError, since the float prefilter needs every coordinate as
     a float.  ``vertices`` (as Fractions) and the float array are made on
     first use and cached outside the fields.
-
-    ``reversed`` and ``translated`` build their curves from grids
-    through the private classmethod ``_from_grid``, which only assigns,
-    with the code that ends the constructor: its grid must be canonical
-    (no common factor of the scale and every coordinate), in float range
-    and free of coinciding consecutive vertices.
     """
 
     _scale: int
@@ -122,22 +105,14 @@ class PolyCurve:
         factor = {d: scale // d for d in dens}
         ints = [n * factor[d] for n, d in ratios]
         if unbounded:
-            _check_float_range(scale, ints)
-        grid = _grid(ints)
+            try:
+                max(max(ints), -min(ints)) / scale
+            except OverflowError:
+                raise ParseError("a coordinate is beyond the float range") from None
+        grid = tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
         for a, b in zip(grid, grid[1:] + grid[:1]):
             if a == b:
                 raise ParseError("consecutive vertices coincide")
-        self._assign(scale, grid)
-
-    @classmethod
-    def _from_grid(cls, scale: int, grid: tuple[tuple[int, int, int], ...]) -> PolyCurve:
-        """A curve of a grid that meets the contract in the class
-        docstring; nothing is checked."""
-        curve = object.__new__(cls)
-        curve._assign(scale, grid)
-        return curve
-
-    def _assign(self, scale: int, grid: tuple[tuple[int, int, int], ...]) -> None:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_grid", grid)
 
@@ -156,22 +131,11 @@ class PolyCurve:
         )
 
     def reversed(self) -> "PolyCurve":
-        return PolyCurve._from_grid(self._scale, self._grid[::-1])
+        return PolyCurve(self.vertices[::-1])
 
     def translated(self, offset) -> "PolyCurve":
-        offset = _to_vec3(offset)
-        scale = lcm(self._scale, *(t.denominator for t in offset))
-        f = scale // self._scale
-        dx, dy, dz = (t.numerator * (scale // t.denominator) for t in offset)
-        ints = [t for x, y, z in self._grid for t in (x * f + dx, y * f + dy, z * f + dz)]
-        # The grid stays canonical unless the shift clears a common factor
-        # of every coordinate and the scale: (1/2, 1/2) + (1/2, 1/2) is on 1.
-        common = gcd(scale, *ints)
-        if common > 1:
-            scale //= common
-            ints = [t // common for t in ints]
-        _check_float_range(scale, ints)
-        return PolyCurve._from_grid(scale, _grid(ints))
+        dx, dy, dz = _to_vec3(offset)
+        return PolyCurve([(x + dx, y + dy, z + dz) for x, y, z in self.vertices])
 
     def as_array(self) -> np.ndarray:
         """The vertices as an (n, 3) float array, converted once and read-only."""
@@ -464,22 +428,31 @@ def circle(
 
     Oriented counterclockwise when viewed from the tip of ``normal``.
     """
-    import numpy as np
+    c = [float(t) for t in center]
+    w = [float(t) for t in normal]
+    if not any(w):
+        raise ParseError("a circle needs a nonzero normal")
+    w = _unit(w)
+    i = min(range(3), key=lambda t: abs(w[t]))
+    u = _unit(_cross([float(t == i) for t in range(3)], w))
+    v = _cross(w, u)
+    points = []
+    for k in range(n):
+        angle = phase + 2.0 * pi * k / n
+        ca, sa = cos(angle), sin(angle)
+        points.append([c[t] + radius * (ca * u[t] + sa * v[t]) for t in range(3)])
+    return PolyCurve(points)
 
-    c = np.array(center, dtype=float)
-    w = np.array(normal, dtype=float)
-    w = w / np.linalg.norm(w)
-    ref = np.eye(3)[int(np.argmin(np.abs(w)))]
-    u = np.cross(ref, w)
-    u /= np.linalg.norm(u)
-    v = np.cross(w, u)
-    angles = phase + 2.0 * np.pi * np.arange(n) / n
-    pts = c + radius * (np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v)
-    return PolyCurve(pts.tolist())
+
+def _unit(vec: list[float]) -> list[float]:
+    x, y, z = vec
+    norm = sqrt(x * x + y * y + z * z)
+    return [x / norm, y / norm, z / norm]
 
 
 def curves_to_dict(curves: Sequence[PolyCurve]) -> dict:
-    return {"components": [c.as_array().tolist() for c in curves]}
+    # int / int rounds once, as in the float array, so the floats agree.
+    return {"components": [[[x / c._scale for x in p] for p in c._grid] for c in curves]}
 
 
 def _finite_float(x: int | float) -> bool:

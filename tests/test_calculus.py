@@ -386,6 +386,24 @@ def test_homotopy_event_validation():
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind="definite_tangency", pattern="all_distinct"),
+        dict(kind="indefinite_tangency", index=1, pattern="i_eq_j"),
+        dict(kind="definite_tangency", index=1),
+        dict(kind="definite_tangency", joins_components=True),
+        dict(kind="definite_tangency", lk00=2),
+        dict(kind="triple_point", pattern="all_distinct", index=1),
+        dict(kind="triple_point", pattern="all_distinct", joins_components=True),
+        dict(kind="triple_point", pattern="all_distinct", lk11=-1),
+    ],
+)
+def test_homotopy_event_refuses_a_field_of_another_kind(fields):
+    with pytest.raises(InconsistentEvent):
+        HomotopyEvent(**fields)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: HomotopyEvent(kind="triple_point", sign=True, pattern="all_distinct"),

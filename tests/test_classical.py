@@ -153,6 +153,26 @@ def test_v2_matches_oracle_on_braid_closures(rng):
         assert v2(g) == conway_a2_oracle(g)
 
 
+def test_v2_equals_the_two_pairing_formula_on_random_braid_closures(rng):
+    knots = 0
+    for _ in range(400):
+        strands = int(rng.integers(2, 5))
+        word = [int(g) * int(rng.choice((-1, 1)))
+                for g in rng.integers(1, strands, size=int(rng.integers(1, 13)))]
+        try:
+            code = braid_closure_code(word, strands)
+        except ValueError:  # the closure is a link, not a knot
+            continue
+        knots += 1
+        g = parse_gauss_code(code)
+        for shift in range(0, 2 * g.n, 3):
+            h = rotate_basepoint(g, shift)
+            difference = x_pairing(h) - x_pairing(switch(h, descending_set(h)))
+            assert difference % 4 == 0
+            assert v2(h) == difference // 4
+    assert knots >= 50
+
+
 def test_oracle_frees_its_memo_on_return():
     # A full collection also empties the interpreter's free lists (about
     # 1.5 MB of spare tuples after this call), which are not the oracle's.

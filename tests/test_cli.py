@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -211,6 +212,19 @@ def test_generator_command(capsys):
     assert len(doc["labels"]) == 12
 
 
+@pytest.mark.parametrize(
+    "resolution, digest",
+    [("32", "8531f205f38ef3f3955c1ee2a98c181b006a6881eba33ab3a12b7398cb64a34c"),
+     ("64", "772006f12b067bf955966729e6b377982ad6204403b1c770645bbce89eeda58d")],
+)
+def test_generator_curves_print_pinned_output(capsys, resolution, digest):
+    # Byte for byte what the numpy-built curves printed.
+    code, out = run_cli(
+        capsys, "--format", "json", "generator", "--curves", "--resolution", resolution)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_v2_command(capsys):
     code, out = run_cli(capsys, "v2", "O1+U2+O3+U1+O2+U3+")
     assert code == 0
@@ -271,6 +285,8 @@ def test_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert cli.run(["v2", "O1+U1-"]) == 12
     capsys.readouterr()
+    assert cli.run(["v2", "O1+U2+U1+O2+"]) == 13  # not planar: odd pairing sum
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -296,6 +312,12 @@ def test_unreadable_files_exit_2(capsys, tmp_path, argv):
 def test_e_jump_refuses_non_positive_k(capsys, argv):
     assert cli.run(["e-jump", *argv]) == 3
     assert "positive" in capsys.readouterr().err
+
+
+def test_e_jump_refuses_a_field_of_another_kind(capsys):
+    argv = ["e-jump", "--kind", "definite_tangency", "--pattern", "all_distinct"]
+    assert cli.run(argv) == 6
+    assert "pattern" in capsys.readouterr().err
 
 
 def test_lk_rejects_non_finite_coordinates(capsys, tmp_path):
@@ -407,6 +429,7 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path):
         ["delta-h", gen, "--switch", "1,2"],
         ["vfinite", gen, "--indices", "1,2,3", "--verbose", "--h0", "5/3"],
         ["generator", "--k", "1"],
+        ["generator", "--k", "1", "--curves"],
     ]
     for argv in commands:
         argv = ["--format", "json", *argv]

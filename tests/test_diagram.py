@@ -51,6 +51,26 @@ def test_make_diagram_drops_zeros_and_collapses_duplicates():
     assert d.lk_value(LiftId(1, 1), b) == 0
 
 
+def test_constructor_drops_zeros_as_the_loader_does():
+    a, b, c = LiftId(1, 0), LiftId(1, 1), LiftId(2, 0)
+    d = CrossingDiagram(1, 2, {(a, c): 0, (b, c): 4}, {c: 0, b: -1})
+    assert d.lk == {(b, c): 4} and d.writhe == {b: -1}
+    assert d._columns == ([1], [2], [-4], -4, -1)
+    doc = {"k": 1, "m": 2, "lk": [{"i": 1, "ei": 0, "j": 2, "ej": 0, "value": 0}],
+           "writhe": [{"i": 2, "e": 0, "value": 0}]}
+    assert CrossingDiagram(1, 2, {(a, c): 0}, {c: 0}) == diagram_from_dict(doc)
+
+
+def test_zero_values_are_type_checked_before_they_are_dropped():
+    a, b = LiftId(1, 0), LiftId(2, 0)
+    for lk, writhe in [([(a, b, 0.0)], [(a, False)]), ([(a, b, 0.0)], []),
+                       ([], [(a, False)]), ([(a, b, Fraction(0))], [])]:
+        with pytest.raises(ParseError):
+            make_diagram(1, 2, lk=lk, writhe=writhe)
+        with pytest.raises(ParseError):
+            CrossingDiagram(1, 2, {pair_key(x, y): v for x, y, v in lk}, dict(writhe))
+
+
 def test_conflicting_duplicate_raises():
     a, b = LiftId(1, 0), LiftId(2, 1)
     with pytest.raises(AsymmetricEntry):
@@ -363,9 +383,8 @@ def _parametrized(test):
 
 def _constructor_route(doc):
     """The document read row by row into pair_key-ordered dicts, repeats
-    refused and zeros dropped, and every other rule left to the
-    constructor; the lifts of the dropped zero rows are range-checked
-    after it."""
+    refused, and every other rule, zeros included, left to the
+    constructor."""
     try:
         k, m = doc["k"], doc["m"]
         if type(k) is not int or type(m) is not int:
@@ -388,12 +407,7 @@ def _constructor_route(doc):
             writhe[LiftId(i, e)] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed") from exc
-    d = CrossingDiagram(k, m, {key: v for key, v in lk.items() if v},
-                        {lift: v for lift, v in writhe.items() if v})
-    for lift in [*(lift for key in lk for lift in key), *writhe]:
-        if not (1 <= lift.crossing <= m and lift.level in (0, 1)):
-            raise IndexOutOfRange(f"zero row on {lift}")
-    return d
+    return CrossingDiagram(k, m, lk, writhe)
 
 
 def _built_or_error_class(build, *args):

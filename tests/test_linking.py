@@ -667,6 +667,32 @@ def test_translation_recanonicalises_the_scale():
     assert moved.translated((-0.5, -0.5, -0.5)) == halves
 
 
+def _numpy_circle(center, radius, normal, n, phase):
+    w = np.array(normal, dtype=float)
+    w = w / np.linalg.norm(w)
+    u = np.cross(np.eye(3)[int(np.argmin(np.abs(w)))], w)
+    u /= np.linalg.norm(u)
+    v = np.cross(w, u)
+    angles = phase + 2.0 * np.pi * np.arange(n) / n
+    return np.array(center, dtype=float) + radius * (
+        np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v)
+
+
+@pytest.mark.parametrize(
+    "normal", [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, 1, 0.2), (0.3, 0.2, 1)])
+def test_circle_builds_the_floats_of_the_numpy_formula(normal):
+    # The normals the tests, demos and benchmarks use; for some others
+    # numpy's norm may round differently in the last bit.
+    for n, phase in ((8, 0.0), (64, 0.13), (100, 0.5)):
+        curve = circle((0.5, -1, 2.25), 1.5, normal, n=n, phase=phase)
+        assert curve == PolyCurve(_numpy_circle((0.5, -1, 2.25), 1.5, normal, n, phase))
+
+
+def test_circle_refuses_a_zero_normal():
+    with pytest.raises(ParseError):
+        circle((0, 0, 0), 1.0, (0, 0, 0))
+
+
 BIG = 10**400
 
 
