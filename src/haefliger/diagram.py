@@ -68,8 +68,9 @@ class CrossingDiagram:
     components).  ``writhe`` maps lifts to integer writhes, default 0.
 
     Construction checks every invariant, so every instance is valid:
-    k, m, every crossing index, level and value is exactly an ``int``
-    (else :class:`ParseError`, as in the JSON format; bool is refused);
+    every lift is a :class:`LiftId`, and k, m, every crossing index, level
+    and value is exactly an ``int`` (else :class:`ParseError`, as in the
+    JSON format; bool is refused);
     k >= 1 and m >= 0, and every lift of every key names a crossing in
     1..m and a level 0/1 (else :class:`IndexOutOfRange`); and every
     ``lk`` key is in canonical order (else :class:`AsymmetricEntry`,
@@ -121,14 +122,17 @@ class CrossingDiagram:
         upper: list[int] = []
         signed: list[int] = []
         for key, value in self.lk.items():
-            (i, e), (j, f) = key
-            # Every field an int, both lifts in range and lift_lt(a, b), in
-            # one test that allocates nothing: every diagram constructed
-            # pays it once per entry.
-            if not (type(i) is type(j) is type(e) is type(f) is type(value) is int
+            try:
+                (i, e), (j, f) = a, b = key
+            except (TypeError, ValueError):
+                raise ParseError(f"lk key {key!r} is not a pair of LiftIds") from None
+            # Both lifts LiftIds, every field an int, both lifts in range and
+            # lift_lt(a, b), in one test that allocates nothing: every
+            # diagram constructed pays it once per entry.
+            if not (type(a) is type(b) is LiftId
+                    and type(i) is type(j) is type(e) is type(f) is type(value) is int
                     and 0 < i <= j <= m and e in (0, 1) and f in (0, 1)
                     and (i < j or e < f)):
-                a, b = key
                 _check_lift(a, m)
                 _check_lift(b, m)
                 if not lift_lt(a, b):
@@ -211,6 +215,8 @@ def _lift_error(lift: LiftId, m: int) -> HaefligerError | None:
 
 
 def _check_lift(lift: LiftId, m: int) -> None:
+    if type(lift) is not LiftId:
+        raise ParseError(f"{lift!r} is not a LiftId")
     error = _lift_error(lift, m)
     if error:
         raise error
@@ -226,11 +232,18 @@ def make_diagram(
 
     Each pair is stored under its canonical key.  Duplicate unordered
     pairs with conflicting values raise :class:`AsymmetricEntry`;
-    consistent duplicates are collapsed.  The constructor checks every
-    entry and drops the zero ones.
+    consistent duplicates are collapsed.  An entry that is not a
+    (LiftId, LiftId, value) or (LiftId, value) row raises ParseError; the
+    constructor checks every entry and drops the zero ones.
     """
     table: dict[PairKey, int] = {}
-    for a, b, value in lk:
+    for row in lk:
+        try:
+            a, b, value = row
+        except (TypeError, ValueError):
+            a = b = None
+        if type(a) is not LiftId or type(b) is not LiftId:
+            raise ParseError(f"lk entry {row!r} is not (LiftId, LiftId, value)")
         key = pair_key(a, b)
         if key in table and table[key] != value:
             raise AsymmetricEntry(
@@ -238,7 +251,13 @@ def make_diagram(
             )
         table[key] = value
     wr: dict[LiftId, int] = {}
-    for lift, value in writhe:
+    for row in writhe:
+        try:
+            lift, value = row
+        except (TypeError, ValueError):
+            lift = None
+        if type(lift) is not LiftId:
+            raise ParseError(f"writhe entry {row!r} is not (LiftId, value)")
         if lift in wr and wr[lift] != value:
             raise AsymmetricEntry(f"conflicting writhes for {lift}")
         wr[lift] = value

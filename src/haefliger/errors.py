@@ -27,7 +27,9 @@ class InconsistentEvent(HaefligerError):
 
 
 class NonGenericProjection(HaefligerError):
-    """The projection hit a degenerate configuration; perturb the axis."""
+    """A writhe's projection puts a vertex on a non-adjacent edge, so the
+    count depends on how the axis is tilted; choose another axis.  Linking
+    numbers never raise it."""
 
 
 class CurvesIntersect(HaefligerError):

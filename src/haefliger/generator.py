@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import cos, pi, sin, sqrt
 
 from .diagram import CrossingDiagram, LiftId, make_diagram
-from .errors import InvalidParams
+from .errors import InvalidParams, ParseError
 from .linking import PolyCurve, linking_matrix
 from .calculus import delta_h_reduced
 
@@ -35,14 +35,19 @@ HOPF_PAIRS: tuple[tuple[LiftId, LiftId, str], ...] = (
 
 @dataclass(frozen=True)
 class BorromeanParams:
-    """Radii of the Borromean bidisc spheres; requires 2*beta < alpha."""
+    """Radii of the Borromean bidisc spheres; requires 2*beta < alpha.
+
+    A radius is any finite number ``Fraction`` takes but a string or a
+    bool, and k an int >= 1 (else ParseError, or InvalidParams for k < 1).
+    """
 
     alpha: Fraction
     beta: Fraction
     k: int = 1
 
     def __post_init__(self) -> None:
-        alpha, beta = Fraction(self.alpha), Fraction(self.beta)
+        alpha, beta = _radius("alpha", self.alpha), _radius("beta", self.beta)
+        _check_k(self.k)
         if alpha <= 0 or beta <= 0 or 2 * beta >= alpha:
             raise InvalidParams(
                 f"need 0 < 2*beta < alpha, got alpha={alpha}, beta={beta}"
@@ -51,13 +56,28 @@ class BorromeanParams:
         object.__setattr__(self, "beta", beta)
 
 
+def _radius(name: str, value) -> Fraction:
+    if not isinstance(value, (str, bool)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
+            pass
+    raise ParseError(f"{name} must be a finite number, not {value!r}")
+
+
+def _check_k(k) -> None:
+    if type(k) is not int:
+        raise ParseError(f"k must be an int, not {k!r}")
+    if k < 1:
+        raise InvalidParams("k must be a positive integer")
+
+
 DEFAULT_PARAMS = BorromeanParams(alpha=4, beta=1, k=1)
 
 
 def generator_diagram(k: int) -> CrossingDiagram:
     """Six-crossing diagram with the six unit Hopf entries (all +1)."""
-    if k < 1:
-        raise InvalidParams("k must be a positive integer")
+    _check_k(k)
     return make_diagram(
         k=k, m=6, lk=[(a, b, 1) for a, b, _ in HOPF_PAIRS]
     )
@@ -113,6 +133,8 @@ def generator_double_point_curves(
     """
     if params.k != 1:
         raise InvalidParams("explicit curves are only constructed for k = 1")
+    if type(n) is not int:
+        raise InvalidParams(f"n must be an int, not {n!r}")
     alpha = float(params.alpha)
     beta = float(params.beta)
     bp = beta / sqrt(2.0)  # offset magnitude along the diagonal direction

@@ -3,9 +3,9 @@
 Two routes to the linking number are provided and cross-checked in the
 test suite:
 
-* ``linking_matrix`` -- exact signed crossing count of a generic
-  projection for every pair of a curve set (half the signed sum of
-  inter-curve crossings); ``linking_number_pl`` is its two-curve case.
+* ``linking_matrix`` -- half the exact signed crossing count of each pair
+  of a curve set in one projection, its axis tilted infinitesimally so
+  that none is refused; ``linking_number_pl`` is its two-curve case.
 * ``gauss_linking_quadrature`` -- midpoint-rule evaluation of the Gauss
   double integral, floating point.
 
@@ -35,9 +35,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import cos, isfinite, lcm, pi, sin, sqrt
+from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import CurvesIntersect, InvalidParams, NonGenericProjection, ParseError
+from .errors import CurvesIntersect, HaefligerError, InvalidParams, NonGenericProjection
+from .errors import ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,10 +49,10 @@ Segment = tuple[Vec3, Vec3]
 
 
 def _to_vec3(point) -> Vec3:
-    x, y, z = point
     try:
+        x, y, z = point
         return (Fraction(x), Fraction(y), Fraction(z))
-    except (ValueError, OverflowError) as exc:  # NaN, an infinity, a bad string
+    except (TypeError, ValueError, OverflowError) as exc:  # NaN, inf, no triple
         raise ParseError(f"bad point {point!r}: {exc}") from exc
 
 
@@ -87,17 +89,18 @@ class PolyCurve:
         ratios = []
         # A finite float is in float range; anything else may not be.
         unbounded = False
-        for point in points:
-            x, y, z = point
-            try:
+        point = None
+        try:
+            for point in points:
+                x, y, z = point
                 if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
                     ratios += (x.as_integer_ratio(), y.as_integer_ratio(),
                                z.as_integer_ratio())
                 else:
                     unbounded = True
                     ratios += (_ratio(x), _ratio(y), _ratio(z))
-            except (ValueError, OverflowError) as exc:  # NaN, an infinity, a bad string
-                raise ParseError(f"bad point {point!r}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:  # NaN, inf, no triple, no list
+            raise ParseError(f"bad point {point!r}: {exc}") from exc
         if len(ratios) < 9:
             raise ParseError("a closed curve needs at least 3 vertices")
         dens = {d for _, d in ratios}
@@ -236,50 +239,46 @@ def _segments_meet(seg1: Segment, seg2: Segment) -> bool:
     return 0 <= s <= scale and 0 <= t <= scale
 
 
-def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
+def _dets(d1: Vec3, d2: Vec3, r: Vec3, a) -> tuple:
+    """det(d1, d2, a), det(r, d2, a) and det(r, d1, a)."""
+    c1, c2 = _cross(d1, a), _cross(d2, a)
+    return _dot(d1, c2), _dot(r, c2), _dot(r, c1)
+
+
+def _segment_crossings(seg1: Segment, seg2: Segment, basis, refuse: bool) -> int:
     """Sign (+1 or -1) of the crossing of two projected segments, 0 if they miss.
 
-    Division-free, so it runs in integers on integer input, and no positive
-    scaling of the segments or of a basis vector changes it.  Raises
-    NonGenericProjection on collinear projections that share a point,
-    endpoint touchings, or a segment projecting to a point; raises
-    CurvesIntersect if the preimages meet in R^3.
+    Along a = w + e*u + e^2*v, e > 0 infinitesimal ("Simulation of
+    Simplicity", Edelsbrunner and Muecke, 1990), they meet at S/D on seg1
+    and T/D on seg2, for D = det(d1, d2, a), S = det(r, d2, a) and
+    T = det(r, d1, a); the sign is -sign det(d1, d2, r).  A vertex over the
+    other segment along w raises NonGenericProjection with ``refuse``, else
+    the e, then e^2 entries decide, for disjoint segments.  Segments that
+    meet at a crossing, or anywhere with ``refuse`` while D's w entry is 0,
+    raise CurvesIntersect.  Division-free: it runs in integers.
     """
-    u, v, w = basis
-    p0, p1 = seg1
-    q0, q1 = seg2
+    (p0, p1), (q0, q1) = seg1, seg2
     d1, d2, r = _sub(p1, p0), _sub(q1, q0), _sub(q0, p0)
-    a1 = (_dot(d1, u), _dot(d1, v))
-    a2 = (_dot(d2, u), _dot(d2, v))
-    if a1 == (0, 0) or a2 == (0, 0):
-        raise NonGenericProjection("segment parallel to projection axis")
-    denom = a1[0] * a2[1] - a1[1] * a2[0]
-    r = (_dot(r, u), _dot(r, v))
-    if denom == 0:
-        if r[0] * a1[1] != r[1] * a1[0]:
-            return 0  # parallel, on distinct lines
-        # Collinear: compare the intervals along a1, seg1 spanning [0, |a1|^2].
-        t0 = r[0] * a1[0] + r[1] * a1[1]
-        t1 = t0 + a2[0] * a1[0] + a2[1] * a1[1]
-        if max(min(t0, t1), 0) <= min(max(t0, t1), a1[0] * a1[0] + a1[1] * a1[1]):
-            raise NonGenericProjection("collinear projected segments meet")
+    den, s, t = _dets(d1, d2, r, basis[2])
+    if den == 0:
+        if refuse and _segments_meet(seg1, seg2):
+            raise CurvesIntersect("a curve meets itself in R^3")
         return 0
-    # The projections meet at parameters s/denom on seg1 and t/denom on
-    # seg2; the sign of a1 x a2 is the crossing's sign with seg1 over.
-    s = r[0] * a2[1] - r[1] * a2[0]
-    t = r[0] * a1[1] - r[1] * a1[0]
-    sign = 1 if denom > 0 else -1
-    denom, s, t = sign * denom, sign * s, sign * t
-    if s <= 0 or s >= denom or t <= 0 or t >= denom:
-        if (0 <= s <= denom and t in (0, denom)) or (0 <= t <= denom and s in (0, denom)):
-            raise NonGenericProjection("projected crossing at a vertex")
+    sign = 1 if den > 0 else -1
+    den, s, t = sign * den, sign * s, sign * t
+    if s < 0 or s > den or t < 0 or t > den:
         return 0
-    # Heights along w at the crossing, both times denom > 0.
-    h1 = _dot(p0, w) * denom + s * _dot(d1, w)
-    h2 = _dot(q0, w) * denom + t * _dot(d2, w)
-    if h1 == h2:
+    if s == 0 or s == den or t == 0 or t == den:
+        if refuse:
+            raise NonGenericProjection("a vertex projects onto an edge")
+        # As e -> 0+, each has the sign of its first nonzero (w, u, v) entry.
+        D, S, T = zip((den, s, t), *([sign * x for x in _dets(d1, d2, r, a)] for a in basis[:2]))
+        if min(S, T, _sub(D, S), _sub(D, T)) <= (0, 0, 0):
+            return 0
+    side = _dot(r, _cross(d1, d2))
+    if side == 0:
         raise CurvesIntersect("curves meet in R^3 at a projected crossing")
-    return sign if h1 > h2 else -sign
+    return -1 if side > 0 else 1
 
 
 def _on_one_grid(curves: Sequence[PolyCurve]) -> list[Segment]:
@@ -309,7 +308,7 @@ def _box_pairs(arrays: Sequence[np.ndarray]) -> list[tuple[int, int]]:
     Takes (n, d) float vertex arrays.  Boxes are sorted by their low end on
     the widest axis, ``searchsorted`` finds the boxes starting inside each,
     and those pairs are compared on every axis.  The margin, 1e-7 of the
-    set's largest coordinate, absorbs rounding, so no meeting pair is lost.
+    set's largest coordinate, keeps every pair whose closed boxes touch.
     """
     import numpy as np
 
@@ -361,9 +360,9 @@ def linking_matrix(
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
     for a, b in _box_pairs([_project(c.as_array(), basis) for c in curves]):
-        totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis)
+        totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis, False)
     if any(total % 2 for total in totals.values()):
-        raise NonGenericProjection("odd signed crossing count")
+        raise HaefligerError("odd signed crossing count of two closed curves")
     return {key: total // 2 for key, total in totals.items()}
 
 
@@ -376,14 +375,16 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     """Writhe: signed count of self-crossings of the projection.
 
     The paper-level half-sum over ordered pairs collapses to a plain sum
-    over unordered crossings.
+    over unordered crossings.  Only a vertex over a non-adjacent edge, where
+    a tilt of the axis could change the count, raises NonGenericProjection;
+    non-adjacent edges that meet elsewhere raise CurvesIntersect.
     """
     basis = axis._basis
     segs = _on_one_grid([curve])
     total = 0
     for i, j in _box_pairs([_project(curve.as_array(), basis)]):
         if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
-            total += _segment_crossings(segs[i], segs[j], basis)
+            total += _segment_crossings(segs[i], segs[j], basis, True)
     return total
 
 
@@ -427,7 +428,12 @@ def circle(
     """Regular n-gon approximating a circle with the given plane normal.
 
     Oriented counterclockwise when viewed from the tip of ``normal``.
+    ``n`` must be an int and ``radius`` a real number (bool is neither).
     """
+    if type(n) is not int:
+        raise InvalidParams(f"n must be an int, not {n!r}")
+    if isinstance(radius, bool) or not isinstance(radius, Real):
+        raise ParseError(f"radius must be a real number, not {radius!r}")
     c = [float(t) for t in center]
     w = [float(t) for t in normal]
     if not any(w):

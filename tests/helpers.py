@@ -169,16 +169,14 @@ def plane_basis_oracle(direction):
     return u, _cross(w, u), w
 
 
-def _in_box(p, a, b):
-    return all(min(x, y) <= z <= max(x, y) for z, x, y in zip(p, a, b))
-
-
 def crossing_sign_oracle(seg1, seg2, basis):
     """Sign (+1 or -1) of the crossing of two projected segments, 0 if they
     miss, from the crossing parameters s and t as ``Fraction`` quotients.
 
-    Raises NonGenericProjection and CurvesIntersect in the same cases as
-    the library's division-free test.
+    Parallel projections, or one that is a point, miss: they do along
+    every nearby axis.  A vertex on the other projected segment raises
+    NonGenericProjection, and a crossing whose preimages meet
+    CurvesIntersect.
     """
     u, v, w = basis
     p0, p1 = seg1
@@ -187,21 +185,10 @@ def crossing_sign_oracle(seg1, seg2, basis):
     d2 = tuple(b - a for a, b in zip(q0, q1))
     a1 = (_dot(d1, u), _dot(d1, v))
     a2 = (_dot(d2, u), _dot(d2, v))
-    if a1 == (0, 0) or a2 == (0, 0):
-        raise NonGenericProjection("segment parallel to projection axis")
     denom = a1[0] * a2[1] - a1[1] * a2[0]
-    r = (_dot(q0, u) - _dot(p0, u), _dot(q0, v) - _dot(p0, v))
     if denom == 0:
-        if r[0] * a1[1] == r[1] * a1[0]:
-            # Collinear: they share a point iff an endpoint of one lies
-            # in the other, a box test on the line they share.
-            ends1 = [(_dot(p, u), _dot(p, v)) for p in seg1]
-            ends2 = [(_dot(p, u), _dot(p, v)) for p in seg2]
-            if any(_in_box(p, *ends2) for p in ends1) or any(
-                _in_box(p, *ends1) for p in ends2
-            ):
-                raise NonGenericProjection("collinear projected segments meet")
         return 0
+    r = (_dot(q0, u) - _dot(p0, u), _dot(q0, v) - _dot(p0, v))
     s = Fraction(r[0] * a2[1] - r[1] * a2[0], denom)
     t = Fraction(r[0] * a1[1] - r[1] * a1[0], denom)
     if s <= 0 or s >= 1 or t <= 0 or t >= 1:

@@ -105,6 +105,38 @@ def test_curve_commands_print_pinned_output(capsys, tmp_path, argv, stdout):
     assert out == stdout
 
 
+# A triangle with an edge along the z axis, over an edge of a rectangle.
+VERTICAL_EDGE = {"components": [[[-3, -1, 0], [3, -1, 0], [3, 1, 0], [-3, 1, 0]],
+                                [[0, -1, 1], [0, -1, 3], [1, 0, 2]]]}
+# The last vertex projects onto the first edge along z.
+VERTEX_OVER_EDGE = {"components": [[[0, 0, 0], [4, 0, 0], [4, 4, 0], [2, 0, 1]]]}
+
+
+def test_lk_and_murai_ohba_decide_a_vertical_edge(capsys, tmp_path):
+    path = tmp_path / "vertical.json"
+    path.write_text(json.dumps(VERTICAL_EDGE))
+    assert run_cli(capsys, "lk", str(path)) == (0, "lk: 0\n")
+    assert run_cli(capsys, "murai-ohba", str(path))[0] == 0
+
+
+def test_writhe_of_a_vertex_over_an_edge_exits_7(capsys, tmp_path):
+    path = tmp_path / "vertex.json"
+    path.write_text(json.dumps(VERTEX_OVER_EDGE))
+    assert cli.run(["writhe", str(path)]) == 7
+    assert "vertex" in capsys.readouterr().err
+
+
+def test_an_odd_crossing_count_exits_15(capsys, tmp_path, monkeypatch):
+    # Closed curves cross an even number of times; an odd count is a
+    # defect of the engine, not of the input.
+    from haefliger import linking
+
+    counts = iter([1])
+    monkeypatch.setattr(linking, "_segment_crossings", lambda *args: next(counts, 0))
+    assert cli.run(["lk", write_hopf(tmp_path)]) == 15
+    assert "odd" in capsys.readouterr().err
+
+
 def test_delta_h_command(capsys, tmp_path):
     path = write_generator_diagram(tmp_path)
     code, out = run_cli(capsys, "delta-h", path, "--switch", "1")

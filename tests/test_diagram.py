@@ -137,6 +137,32 @@ def test_construction_checks_every_invariant(fields, error):
         CrossingDiagram(**{"k": 1, "m": 2, **fields})
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"lk": {((1, 0), (2, 0)): 1}}, {"lk": {(L(1, 0), (2, 0)): 1}}, {"lk": {(1, 2): 1}},
+     {"lk": {"ab": 1}}, {"lk": {L(1, 0): 1}}, {"lk": {(L(1, 0), L(2, 0), L(2, 1)): 1}},
+     {"writhe": {(1, 0): 1}}, {"writhe": {"ab": 1}}],
+    ids=["tuple lifts", "one tuple lift", "int pair", "str", "one lift", "three lifts",
+         "writhe tuple lift", "writhe str"],
+)
+def test_construction_takes_only_liftid_lifts(fields):
+    with pytest.raises(ParseError):
+        CrossingDiagram(**{"k": 1, "m": 2, **fields})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"lk": [(1, 2)]}, {"lk": [((1, 0), (2, 0), 1)]}, {"lk": [5]}, {"lk": ["ab"]},
+     {"lk": [(L(1, 0), L(2, 0), L(2, 1), 1)]}, {"writhe": [((1, 0), 1)]},
+     {"writhe": [5]}, {"writhe": [(L(1, 0),)]}],
+    ids=["int pair", "tuple lifts", "int", "str", "four items", "writhe tuple lift",
+         "writhe int", "writhe without value"],
+)
+def test_make_diagram_takes_only_liftid_entries(entries):
+    with pytest.raises(ParseError):
+        make_diagram(1, 2, **entries)
+
+
 def test_crossing_change_identity_and_involution(rng):
     for _ in range(50):
         d = random_diagram(rng, with_writhe=True)

@@ -8,7 +8,7 @@ import pytest
 
 from haefliger import generator
 from haefliger.diagram import LiftId, pair_key
-from haefliger.errors import InvalidParams
+from haefliger.errors import InvalidParams, ParseError
 from haefliger.generator import (
     DEFAULT_PARAMS,
     HOPF_PAIRS,
@@ -27,6 +27,32 @@ def test_params_validation():
         BorromeanParams(alpha=4, beta=0)
     with pytest.raises(InvalidParams):
         BorromeanParams(alpha=-4, beta=1)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: BorromeanParams(alpha=float("nan"), beta=1), ParseError),
+        (lambda: BorromeanParams(alpha=float("inf"), beta=1), ParseError),
+        (lambda: BorromeanParams(alpha="4", beta=1), ParseError),
+        (lambda: BorromeanParams(alpha=4, beta=True), ParseError),
+        (lambda: BorromeanParams(alpha=None, beta=1), ParseError),
+        (lambda: BorromeanParams(alpha=4, beta=1, k="1"), ParseError),
+        (lambda: BorromeanParams(alpha=4, beta=1, k=1.0), ParseError),
+        (lambda: BorromeanParams(alpha=4, beta=1, k=0), InvalidParams),
+        (lambda: generator_diagram("1"), ParseError),
+        (lambda: generator_diagram(True), ParseError),
+        (lambda: generator_double_point_curves(n=2.5), InvalidParams),
+        (lambda: generator_double_point_curves(n="64"), InvalidParams),
+        (lambda: verify_generator(n=None), InvalidParams),
+    ],
+    ids=["alpha nan", "alpha inf", "alpha str", "beta bool", "alpha None", "k str",
+         "k float", "k 0", "diagram k str", "diagram k bool", "n float", "n str",
+         "verify n None"],
+)
+def test_generator_inputs_are_typed(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_generator_diagram_combinatorics():

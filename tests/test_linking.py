@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from haefliger.errors import (
@@ -37,6 +38,7 @@ from helpers import (
     BandObstructed,
     connected_sum_pl,
     crossing_sign_oracle,
+    curve_segments,
     dense_box_pairs,
     hopf_link,
     naive_linking_oracle,
@@ -132,6 +134,16 @@ def test_polycurve_validation():
         PolyCurve([(0, 0, 0), (1, 0, 0), (1, 0, 0)])
     with pytest.raises(ParseError):
         PolyCurve([(0, 0, 0), (1, 0, 0), (0, 0, 0)])  # closes onto start
+
+
+@pytest.mark.parametrize(
+    "points",
+    [None, 5, [(0, 0), (1, 0), (0, 1)], [(0, 0, 0, 0)] * 3, [(None, 0, 0), (1, 0, 0), (0, 1, 0)]],
+    ids=["None", "int", "pairs", "quadruples", "None coordinate"],
+)
+def test_polycurve_refuses_what_is_not_a_list_of_points(points):
+    with pytest.raises(ParseError, match="bad point"):
+        PolyCurve(points)
 
 
 def test_projection_axis_must_be_unit():
@@ -238,11 +250,10 @@ def test_intersecting_curves_rejected():
         gauss_linking_quadrature(c, c)
 
 
-def test_non_generic_projection_rejected():
+def test_vertical_edge_gets_the_value_of_generic_axes():
     m = PolyCurve([(-3, -1, 0), (3, -1, 0), (3, 1, 0), (-3, 1, 0)])
     n = PolyCurve([(0, -1, 1), (0, -1, 3), (1, 0, 2)])  # vertical edge over m
-    with pytest.raises(NonGenericProjection):
-        linking_number_pl(m, n)
+    assert linking_number_pl(m, n) == 0
 
 
 def _collinear_pair(gap):
@@ -259,9 +270,83 @@ def test_collinear_projections_apart_are_decided_whatever_the_margin(gap):
 
 
 @pytest.mark.parametrize("gap", [0, -0.5], ids=["touching", "overlapping"])
-def test_collinear_projections_that_meet_are_refused(gap):
+def test_collinear_projections_that_meet_get_the_value_of_generic_axes(gap):
+    assert linking_number_pl(*_collinear_pair(gap)) == 0
+
+
+def lattice_polygon(gen):
+    """A closed polygon of 3 to 6 vertices with coordinates in -2..2."""
+    while True:
+        points = [tuple(gen.randint(-2, 2) for _ in range(3))
+                  for _ in range(gen.randint(3, 6))]
+        if all(a != b for a, b in zip(points, points[1:] + points[:1])):
+            return PolyCurve(points)
+
+
+def generic_oracle_lk(m, n, gen):
+    """``naive_linking_oracle`` along random axes until one is generic."""
+    while True:
+        try:
+            return naive_linking_oracle(m, n, [gen.gauss(0, 1) for _ in range(3)])
+        except NonGenericProjection:
+            pass
+
+
+def test_lattice_links_get_the_value_of_generic_axes():
+    # Small lattice polygons put vertices over edges, edges along the axis
+    # and collinear projected edges in most links, along every axis here.
+    gen = random.Random(15)
+    axes = [EZ, ProjectionAxis((1, 0, 0)), ProjectionAxis((0, 1, 0)),
+            ProjectionAxis((0.6, 0, 0.8))]
+    links = degenerate = linked = 0
+    while links < 120:
+        m, n = lattice_polygon(gen), lattice_polygon(gen)
+        if any(_segments_meet(a, b) for a in curve_segments(m) for b in curve_segments(n)):
+            continue
+        links += 1
+        expected = generic_oracle_lk(m, n, gen)
+        linked += expected != 0
+        for axis in axes:
+            assert linking_number_pl(m, n, axis) == expected
+            degenerate += outcome(naive_linking_oracle, m, n, axis.direction) is NonGenericProjection
+    assert degenerate >= links and linked >= 10
+
+
+@pytest.mark.parametrize(
+    "points, writhe",
+    [
+        # A vertical edge over (0, -1) joins two edges that project into
+        # the line y = -1 on either side of it.
+        ([(-1, -1, -1), (0, 1, 0), (1, -2, -2), (2, -1, -2), (0, -1, 2), (0, -1, 0)], 1),
+        # Three consecutive edges fold back and forth along y = -2.
+        ([(-1, 2, 0), (0, 2, 2), (-2, -2, 0), (1, -2, 2), (0, -2, 1), (2, -2, 1)], -1),
+    ],
+    ids=["vertical edge", "collinear projected edges"],
+)
+def test_writhe_of_a_degenerate_projection_is_the_value_of_nearby_axes(points, writhe, rng):
+    curve = PolyCurve(points)
+    assert writhe_pl(curve) == writhe
+    for _ in range(20):
+        d = np.array([0.0, 0.0, 1.0]) + 1e-7 * rng.normal(size=3)
+        assert writhe_pl(curve, ProjectionAxis(tuple(d / np.linalg.norm(d)))) == writhe
+
+
+def test_writhe_refuses_a_vertex_over_a_non_adjacent_edge():
+    # The last vertex projects onto the first edge, at (2, 0).
+    curve = PolyCurve([(0, 0, 0), (4, 0, 0), (4, 4, 0), (2, 0, 1)])
     with pytest.raises(NonGenericProjection):
-        linking_number_pl(*_collinear_pair(gap))
+        writhe_pl(curve)
+    # Tilted towards +y the last edge crosses the first, towards -y not.
+    tilts = [ProjectionAxis((0, t / np.hypot(t, 1), 1 / np.hypot(t, 1))) for t in (1e-3, -1e-3)]
+    assert [writhe_pl(curve, axis) for axis in tilts] == [1, 0]
+
+
+def test_writhe_refuses_a_curve_that_meets_itself_in_a_vertical_plane():
+    # A bowtie in the plane y = 0: its two diagonals meet at (1, 0, 1),
+    # and all four edges project into one line.
+    bowtie = PolyCurve([(0, 0, 0), (2, 0, 2), (2, 0, 0), (0, 0, 2)])
+    with pytest.raises(CurvesIntersect):
+        writhe_pl(bowtie)
 
 
 def test_writhe_of_planar_convex_polygon():
@@ -520,10 +605,34 @@ def test_integer_crossing_test_matches_the_rational_oracle(pair, direction):
     basis = _plane_basis(ProjectionAxis(direction))
     assert all(type(x) is int for vec in basis for x in vec)
     expected = outcome(crossing_sign_oracle, *pair, plane_basis_oracle(direction))
+    meet = _segments_meet(*pair)
+    if expected == 0 and meet:
+        # With refusal on, segments that meet never count as a miss; the
+        # oracle calls parallel projections a miss whether they meet or not.
+        expected = CurvesIntersect
     grid = on_grid(*pair)
-    assert outcome(_segment_crossings, *grid, basis) == expected
-    assert outcome(_segment_crossings, *grid[::-1], basis) == expected
-    assert _segments_meet(*grid) == _segments_meet(*pair)
+    assert outcome(_segment_crossings, *grid, basis, True) == expected
+    assert outcome(_segment_crossings, *grid[::-1], basis, True) == expected
+    assert _segments_meet(*grid) == meet
+
+
+TILT = Fraction(1, 10**60)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(segment_pairs(), _directions)
+def test_perturbed_crossing_test_matches_the_oracle_along_a_tilted_axis(pair, direction):
+    # With refusal off, a disjoint pair is decided as along the axis
+    # w + TILT*u + TILT**2*v, which no pair of these segments meets
+    # degenerately.
+    assume(not _segments_meet(*pair))
+    u, v, w = plane_basis_oracle(direction)
+    tilted = tuple(c + TILT * a + TILT**2 * b for a, b, c in zip(u, v, w))
+    expected = crossing_sign_oracle(*pair, plane_basis_oracle(tilted))
+    basis = _plane_basis(ProjectionAxis(direction))
+    grid = on_grid(*pair)
+    assert _segment_crossings(*grid, basis, False) == expected
+    assert _segment_crossings(*grid[::-1], basis, False) == expected
 
 
 def test_linking_matrix_off_the_dyadic_grid():
@@ -691,6 +800,18 @@ def test_circle_builds_the_floats_of_the_numpy_formula(normal):
 def test_circle_refuses_a_zero_normal():
     with pytest.raises(ParseError):
         circle((0, 0, 0), 1.0, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "arguments, error",
+    [({"n": 2.5}, InvalidParams), ({"n": True}, InvalidParams), ({"n": "8"}, InvalidParams),
+     ({"radius": "1"}, ParseError), ({"radius": None}, ParseError),
+     ({"radius": False}, ParseError)],
+    ids=["n float", "n bool", "n str", "radius str", "radius None", "radius bool"],
+)
+def test_circle_refuses_a_bad_count_or_radius(arguments, error):
+    with pytest.raises(error):
+        circle(**{"center": (0, 0, 0), "radius": 1.0, "normal": (0, 0, 1), **arguments})
 
 
 BIG = 10**400

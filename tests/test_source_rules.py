@@ -117,3 +117,23 @@ def test_exit_codes_map_exactly_the_errors_the_library_raises():
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
     }
     assert sorted(cls.__name__ for cls in defined if cls.__name__ not in built) == []
+
+
+def test_only_one_place_refuses_a_projection():
+    # A linking number is decided along every axis; only a writhe refuses
+    # one, where a vertex projects onto a non-adjacent edge.
+    built = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "NonGenericProjection"
+    ]
+    raised = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "NonGenericProjection"
+    ]
+    assert len(raised) == 1 and raised == built
