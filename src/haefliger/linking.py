@@ -9,13 +9,15 @@ test suite:
 * ``gauss_linking_quadrature`` -- midpoint-rule evaluation of the Gauss
   double integral, floating point.
 
-Both first decide exactly that the curves are pairwise disjoint.  The
-exact predicates are division-free and run on one integer grid for all
-curves of a call (the lcm of their denominators; a power of two for float
-input).  A curve stores its vertices as such a grid, built once when it
-is constructed; its ``Fraction`` vertices and its float array are made
-on first use.  Floats only serve a box prefilter, one sort-and-sweep over
-every segment of the set.
+Both refuse curves that meet (CurvesIntersect); the crossing predicate
+decides it exactly on the pairs the projected sweep finds, since segments
+that meet in R^3 meet in projection too.  The exact predicates are
+division-free and run on one integer grid for all curves of a call (the
+lcm of their denominators; a power of two for float input).  A curve
+stores its vertices as such a grid, built once when it is constructed;
+its ``Fraction`` vertices and its float array are made on first use.
+Floats only serve a box prefilter, one sort-and-sweep over the
+projections of every segment of the set.
 
 numpy is imported only inside the five float functions: ``_array``,
 ``_project``, ``_box_pairs``, ``_resample`` and
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import cos, isfinite, lcm, pi, sin, sqrt
+from math import cos, inf, isfinite, lcm, pi, sin, sqrt
 from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -46,6 +48,8 @@ if TYPE_CHECKING:
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Segment = tuple[Vec3, Vec3]
+
+_MEET = "curves meet in R^3; not a valid link"
 
 
 def _to_vec3(point) -> Vec3:
@@ -251,18 +255,18 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis, refuse: bool) -> int
     Along a = w + e*u + e^2*v, e > 0 infinitesimal ("Simulation of
     Simplicity", Edelsbrunner and Muecke, 1990), they meet at S/D on seg1
     and T/D on seg2, for D = det(d1, d2, a), S = det(r, d2, a) and
-    T = det(r, d1, a); the sign is -sign det(d1, d2, r).  A vertex over the
-    other segment along w raises NonGenericProjection with ``refuse``, else
-    the e, then e^2 entries decide, for disjoint segments.  Segments that
-    meet at a crossing, or anywhere with ``refuse`` while D's w entry is 0,
-    raise CurvesIntersect.  Division-free: it runs in integers.
+    T = det(r, d1, a); the sign is -sign det(d1, d2, r).  Raises
+    CurvesIntersect iff the segments meet in R^3, except that ``refuse``
+    refuses a vertex over the other segment along w (NonGenericProjection)
+    first; without it, the e, then e^2 entries decide that case.
+    Division-free: it runs in integers.
     """
     (p0, p1), (q0, q1) = seg1, seg2
     d1, d2, r = _sub(p1, p0), _sub(q1, q0), _sub(q0, p0)
     den, s, t = _dets(d1, d2, r, basis[2])
     if den == 0:
-        if refuse and _segments_meet(seg1, seg2):
-            raise CurvesIntersect("a curve meets itself in R^3")
+        if _segments_meet(seg1, seg2):
+            raise CurvesIntersect(_MEET)
         return 0
     sign = 1 if den > 0 else -1
     den, s, t = sign * den, sign * s, sign * t
@@ -271,13 +275,15 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis, refuse: bool) -> int
     if s == 0 or s == den or t == 0 or t == den:
         if refuse:
             raise NonGenericProjection("a vertex projects onto an edge")
+        if _segments_meet(seg1, seg2):
+            raise CurvesIntersect(_MEET)
         # As e -> 0+, each has the sign of its first nonzero (w, u, v) entry.
         D, S, T = zip((den, s, t), *([sign * x for x in _dets(d1, d2, r, a)] for a in basis[:2]))
         if min(S, T, _sub(D, S), _sub(D, T)) <= (0, 0, 0):
             return 0
     side = _dot(r, _cross(d1, d2))
     if side == 0:
-        raise CurvesIntersect("curves meet in R^3 at a projected crossing")
+        raise CurvesIntersect(_MEET)
     return -1 if side > 0 else 1
 
 
@@ -331,31 +337,22 @@ def _box_pairs(arrays: Sequence[np.ndarray]) -> list[tuple[int, int]]:
     return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _check_disjoint(curves: Sequence[PolyCurve]) -> list[Segment]:
-    """Raise CurvesIntersect unless the curves are pairwise disjoint in R^3,
-    decided exactly; return ``_on_one_grid(curves)``."""
-    segs = _on_one_grid(curves)
-    for a, b in _box_pairs([c.as_array() for c in curves]):
-        if _segments_meet(segs[a], segs[b]):
-            raise CurvesIntersect("curves meet in R^3; not a valid link")
-    return segs
-
-
 def linking_matrix(
     curves: Sequence[PolyCurve], axis: ProjectionAxis = EZ
 ) -> dict[tuple[int, int], int]:
     """Linking number of every pair i < j of the curves, keyed ``(i, j)``.
 
-    The set is checked pairwise disjoint exactly; a linking number is then
-    half the signed crossing count of its pair.  One box sweep over all
-    segments in R^3, and one over their projections, pick the segment pairs
-    for the exact predicates, which run on one integer grid for the set.
-    Each curve holds its integer grid from construction and converts it to
-    floats once, ever.
+    A linking number is half the signed crossing count of its pair.  One
+    box sweep over the projections of all segments picks the segment pairs
+    for the exact crossing predicate, which runs on one integer grid for
+    the set and raises CurvesIntersect if any two curves meet: segments
+    that meet in R^3 meet in projection, so no meeting pair escapes the
+    sweep.  Each curve holds its integer grid from construction and
+    converts it to floats once, ever.
     """
     if len(curves) < 2:
         return {}
-    segs = _check_disjoint(curves)
+    segs = _on_one_grid(curves)
     basis = axis._basis
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
@@ -377,10 +374,15 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     The paper-level half-sum over ordered pairs collapses to a plain sum
     over unordered crossings.  Only a vertex over a non-adjacent edge, where
     a tilt of the axis could change the count, raises NonGenericProjection;
-    non-adjacent edges that meet elsewhere raise CurvesIntersect.
+    non-adjacent edges that meet elsewhere, and adjacent edges that overlap
+    (the curve folds back along an edge), raise CurvesIntersect.
     """
     basis = axis._basis
     segs = _on_one_grid([curve])
+    for (p0, p1), (_, p2) in zip(segs, segs[1:] + segs[:1]):
+        d1, d2 = _sub(p1, p0), _sub(p2, p1)
+        if _cross(d1, d2) == (0, 0, 0) and _dot(d1, d2) < 0:
+            raise CurvesIntersect("a curve folds back along an edge")
     total = 0
     for i, j in _box_pairs([_project(curve.as_array(), basis)]):
         if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
@@ -411,7 +413,7 @@ def gauss_linking_quadrature(
 
     if type(subdivisions) is not int or subdivisions < 1:
         raise InvalidParams(f"subdivisions must be an int >= 1, not {subdivisions!r}")
-    _check_disjoint([m, n])
+    linking_matrix([m, n])  # CurvesIntersect unless disjoint
     x1, t1 = _resample(m.as_array(), subdivisions)
     x2, t2 = _resample(n.as_array(), subdivisions)
     r = x1[:, None, :] - x2[None, :, :]
@@ -428,17 +430,14 @@ def circle(
     """Regular n-gon approximating a circle with the given plane normal.
 
     Oriented counterclockwise when viewed from the tip of ``normal``.
-    ``n`` must be an int and ``radius`` a real number (bool is neither).
+    ``n`` must be an int; ``radius`` must be a real number and ``center``
+    and ``normal`` three real numbers each, all in the float range (a bool
+    is neither an int nor a real number here).
     """
     if type(n) is not int:
         raise InvalidParams(f"n must be an int, not {n!r}")
-    if isinstance(radius, bool) or not isinstance(radius, Real):
-        raise ParseError(f"radius must be a real number, not {radius!r}")
-    c = [float(t) for t in center]
-    w = [float(t) for t in normal]
-    if not any(w):
-        raise ParseError("a circle needs a nonzero normal")
-    w = _unit(w)
+    radius = _real("radius", radius)
+    c, w = _real_triple("center", center), _unit(_real_triple("normal", normal))
     i = min(range(3), key=lambda t: abs(w[t]))
     u = _unit(_cross([float(t == i) for t in range(3)], w))
     v = _cross(w, u)
@@ -450,9 +449,32 @@ def circle(
     return PolyCurve(points)
 
 
+def _real(name: str, x) -> float:
+    """A real, non-bool number in the float range as a float; ParseError
+    otherwise."""
+    if isinstance(x, Real) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ParseError(f"{name} must be a real number in the float range, not {x!r}")
+
+
+def _real_triple(name: str, value) -> list[float]:
+    try:
+        coords = tuple(value)
+    except TypeError:
+        coords = ()
+    if len(coords) != 3:
+        raise ParseError(f"{name} must be three real numbers, not {value!r}")
+    return [_real(f"a {name} coordinate", x) for x in coords]
+
+
 def _unit(vec: list[float]) -> list[float]:
     x, y, z = vec
     norm = sqrt(x * x + y * y + z * z)
+    if not 0 < norm < inf:  # zero, or a float norm that under- or overflows
+        raise ParseError(f"a circle needs a normal of nonzero finite float length, not {vec}")
     return [x / norm, y / norm, z / norm]
 
 

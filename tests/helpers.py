@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from haefliger.errors import CurvesIntersect, NonGenericProjection, ParseError
-from haefliger.linking import PolyCurve, _check_disjoint, _segments_meet, circle
+from haefliger.linking import PolyCurve, _segments_meet, circle, linking_matrix
 
 
 def braid_closure_code(word, strands):
@@ -241,7 +241,7 @@ def connected_sum_pl(m1, m2, band, avoid=()):
     i1, i2 = band
     if not (0 <= i1 < len(m1) and 0 <= i2 < len(m2)):
         raise ParseError("band vertex index out of range")
-    _check_disjoint([m1, m2])
+    linking_matrix([m1, m2])  # CurvesIntersect unless disjoint
     a, b = m1.vertices, m2.vertices
     joined = PolyCurve(a[i1:] + a[:i1] + b[i2:] + b[:i2])
     connectors = [(a[i1 - 1], b[i2]), (b[i2 - 1], a[i1])]

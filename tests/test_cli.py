@@ -126,6 +126,13 @@ def test_writhe_of_a_vertex_over_an_edge_exits_7(capsys, tmp_path):
     assert "vertex" in capsys.readouterr().err
 
 
+def test_writhe_of_a_curve_that_folds_back_exits_8(capsys, tmp_path):
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps({"components": [[[0, 0, 0], [2, 0, 0], [1, 0, 0]]]}))
+    assert cli.run(["writhe", str(path)]) == 8
+    assert "folds back" in capsys.readouterr().err
+
+
 def test_an_odd_crossing_count_exits_15(capsys, tmp_path, monkeypatch):
     # Closed curves cross an even number of times; an odd count is a
     # defect of the engine, not of the input.

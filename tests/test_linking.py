@@ -7,7 +7,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haefliger.errors import (
@@ -302,6 +302,16 @@ def test_lattice_links_get_the_value_of_generic_axes():
     while links < 120:
         m, n = lattice_polygon(gen), lattice_polygon(gen)
         if any(_segments_meet(a, b) for a in curve_segments(m) for b in curve_segments(n)):
+            # Meeting is decided on the projected candidates: along every
+            # axis, and also where a far third curve meets neither.
+            far = m.translated((6, 0, 0))
+            for axis in axes:
+                with pytest.raises(CurvesIntersect):
+                    linking_number_pl(m, n, axis)
+                with pytest.raises(CurvesIntersect):
+                    linking_matrix([far, m, n], axis)
+            with pytest.raises(CurvesIntersect):
+                gauss_linking_quadrature(m, n)
             continue
         links += 1
         expected = generic_oracle_lk(m, n, gen)
@@ -339,6 +349,19 @@ def test_writhe_refuses_a_vertex_over_a_non_adjacent_edge():
     # Tilted towards +y the last edge crosses the first, towards -y not.
     tilts = [ProjectionAxis((0, t / np.hypot(t, 1), 1 / np.hypot(t, 1))) for t in (1e-3, -1e-3)]
     assert [writhe_pl(curve, axis) for axis in tilts] == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0, 0, 0), (2, 0, 0), (1, 0, 0)],
+     # Only the last edge folds back, onto the first; the third edge ends
+     # on the first, over it along z.
+     [(0, 0, 0), (2, 0, 0), (2, 2, 0), (1, 0, 0)]],
+    ids=["triangle", "closing pair"],
+)
+def test_writhe_refuses_a_curve_that_folds_back_along_an_edge(points):
+    with pytest.raises(CurvesIntersect, match="folds back"):
+        writhe_pl(PolyCurve(points))
 
 
 def test_writhe_refuses_a_curve_that_meets_itself_in_a_vertical_plane():
@@ -622,17 +645,19 @@ TILT = Fraction(1, 10**60)
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(segment_pairs(), _directions)
 def test_perturbed_crossing_test_matches_the_oracle_along_a_tilted_axis(pair, direction):
-    # With refusal off, a disjoint pair is decided as along the axis
-    # w + TILT*u + TILT**2*v, which no pair of these segments meets
-    # degenerately.
-    assume(not _segments_meet(*pair))
-    u, v, w = plane_basis_oracle(direction)
-    tilted = tuple(c + TILT * a + TILT**2 * b for a, b, c in zip(u, v, w))
-    expected = crossing_sign_oracle(*pair, plane_basis_oracle(tilted))
+    # With refusal off, segments that meet raise CurvesIntersect, and a
+    # disjoint pair is decided as along the axis w + TILT*u + TILT**2*v,
+    # which no pair of these segments meets degenerately.
+    if _segments_meet(*pair):
+        expected = CurvesIntersect
+    else:
+        u, v, w = plane_basis_oracle(direction)
+        tilted = tuple(c + TILT * a + TILT**2 * b for a, b, c in zip(u, v, w))
+        expected = crossing_sign_oracle(*pair, plane_basis_oracle(tilted))
     basis = _plane_basis(ProjectionAxis(direction))
     grid = on_grid(*pair)
-    assert _segment_crossings(*grid, basis, False) == expected
-    assert _segment_crossings(*grid[::-1], basis, False) == expected
+    assert outcome(_segment_crossings, *grid, basis, False) == expected
+    assert outcome(_segment_crossings, *grid[::-1], basis, False) == expected
 
 
 def test_linking_matrix_off_the_dyadic_grid():
@@ -806,11 +831,27 @@ def test_circle_refuses_a_zero_normal():
     "arguments, error",
     [({"n": 2.5}, InvalidParams), ({"n": True}, InvalidParams), ({"n": "8"}, InvalidParams),
      ({"radius": "1"}, ParseError), ({"radius": None}, ParseError),
-     ({"radius": False}, ParseError)],
-    ids=["n float", "n bool", "n str", "radius str", "radius None", "radius bool"],
+     ({"radius": False}, ParseError), ({"radius": 10**400}, ParseError)],
+    ids=["n float", "n bool", "n str", "radius str", "radius None", "radius bool",
+         "radius beyond float"],
 )
 def test_circle_refuses_a_bad_count_or_radius(arguments, error):
     with pytest.raises(error):
+        circle(**{"center": (0, 0, 0), "radius": 1.0, "normal": (0, 0, 1), **arguments})
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [{"center": ("1", "0", "0")}, {"center": (0, 0)}, {"center": (0, 0, 0, 0)},
+     {"center": (True, 0, 0)}, {"center": None}, {"center": (10**400, 0, 0)},
+     {"normal": ("0", "0", "1")}, {"normal": (0, 1)}, {"normal": (0, 0, 1, 0)},
+     {"normal": (0, 0, True)}, {"normal": (0, 0, 1e-320)}, {"normal": (1e200, 0, 0)}],
+    ids=["center str", "center 2", "center 4", "center bool", "center None",
+         "center beyond float", "normal str", "normal 2", "normal 4", "normal bool",
+         "normal subnormal", "normal overflowing"],
+)
+def test_circle_refuses_a_bad_center_or_normal(arguments):
+    with pytest.raises(ParseError):
         circle(**{"center": (0, 0, 0), "radius": 1.0, "normal": (0, 0, 1), **arguments})
 
 
