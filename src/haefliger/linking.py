@@ -307,22 +307,27 @@ def _project(points: np.ndarray, basis) -> np.ndarray:
     return points @ np.array(rows).T
 
 
-def _box_pairs(arrays: Sequence[np.ndarray]) -> list[tuple[int, int]]:
-    """Pairs a < b of segments whose boxes overlap, on distinct polylines
-    (or, given one polyline, on it), numbered through the set in order.
+def _box_pairs(arrays: Sequence[np.ndarray], basis) -> list[tuple[int, int]]:
+    """Pairs a < b of segments whose projected boxes overlap, on distinct
+    polylines (or, given one polyline, on it), numbered through the set in
+    order.
 
-    Takes (n, d) float vertex arrays.  Boxes are sorted by their low end on
-    the widest axis, ``searchsorted`` finds the boxes starting inside each,
-    and those pairs are compared on every axis.  The margin, 1e-7 of the
-    set's largest coordinate, keeps every pair whose closed boxes touch.
+    Takes (n, 3) float vertex arrays and projects them along ``basis``.
+    Boxes are sorted by their low end on the wider axis, ``searchsorted``
+    finds the boxes starting inside each, and those pairs are compared on
+    both axes.  The margin, 1e-7 of the set's largest 3D coordinate (the
+    float error of a projected point is relative to it, however small its
+    projection), keeps every pair whose exact projected boxes touch.
     """
     import numpy as np
 
+    margin = 1e-7 * max(float(np.abs(p).max()) for p in arrays)
+    arrays = [_project(p, basis) for p in arrays]
     pts = np.concatenate(arrays)
     ends = np.concatenate([np.roll(p, -1, axis=0) for p in arrays])
     owner = np.repeat(np.arange(len(arrays)), [len(p) for p in arrays])
     lo = np.minimum(pts, ends)
-    hi = np.maximum(pts, ends) + 1e-7 * float(np.abs(pts).max())
+    hi = np.maximum(pts, ends) + margin
     axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
     order = np.argsort(lo[:, axis], kind="stable")
     lo, hi, owner = lo[order], hi[order], owner[order]
@@ -346,9 +351,10 @@ def linking_matrix(
     box sweep over the projections of all segments picks the segment pairs
     for the exact crossing predicate, which runs on one integer grid for
     the set and raises CurvesIntersect if any two curves meet: segments
-    that meet in R^3 meet in projection, so no meeting pair escapes the
-    sweep.  Each curve holds its integer grid from construction and
-    converts it to floats once, ever.
+    that meet in R^3 meet in projection, and the sweep's margin, taken
+    from the 3D coordinates, covers the float error of projecting them, so
+    no meeting pair escapes the sweep.  Each curve holds its integer grid
+    from construction and converts it to floats once, ever.
     """
     if len(curves) < 2:
         return {}
@@ -356,7 +362,7 @@ def linking_matrix(
     basis = axis._basis
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
-    for a, b in _box_pairs([_project(c.as_array(), basis) for c in curves]):
+    for a, b in _box_pairs([c.as_array() for c in curves], basis):
         totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis, False)
     if any(total % 2 for total in totals.values()):
         raise HaefligerError("odd signed crossing count of two closed curves")
@@ -384,9 +390,12 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
         if _cross(d1, d2) == (0, 0, 0) and _dot(d1, d2) < 0:
             raise CurvesIntersect("a curve folds back along an edge")
     total = 0
-    for i, j in _box_pairs([_project(curve.as_array(), basis)]):
-        if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
-            total += _segment_crossings(segs[i], segs[j], basis, True)
+    try:
+        for i, j in _box_pairs([curve.as_array()], basis):
+            if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
+                total += _segment_crossings(segs[i], segs[j], basis, True)
+    except CurvesIntersect:
+        raise CurvesIntersect("a curve meets itself in R^3") from None
     return total
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from haefliger.errors import CurvesIntersect, NonGenericProjection, ParseError
-from haefliger.linking import PolyCurve, _segments_meet, circle, linking_matrix
+from haefliger.linking import PolyCurve, _project, _segments_meet, circle, linking_matrix
 
 
 def braid_closure_code(word, strands):
@@ -277,11 +277,12 @@ def signed_pair_sum_oracle(d, switched=frozenset()):
     return total
 
 
-def dense_box_pairs(pts1, pts2):
-    """Index pairs of segments of two closed polylines whose boxes overlap,
-    by the dense n x m comparison the sweep replaced, with the same margin
-    rule: 1e-7 of the largest coordinate of the two."""
+def dense_box_pairs(pts1, pts2, basis):
+    """Index pairs of segments of two closed polylines whose projected boxes
+    overlap, by the dense n x m comparison the sweep replaced, with the same
+    margin rule: 1e-7 of the largest 3D coordinate of the two."""
     margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
+    pts1, pts2 = _project(pts1, basis), _project(pts2, basis)
     ends1 = np.stack([pts1, np.roll(pts1, -1, axis=0)])
     ends2 = np.stack([pts2, np.roll(pts2, -1, axis=0)])
     lo1, hi1 = ends1.min(axis=0)[:, None], ends1.max(axis=0)[:, None]

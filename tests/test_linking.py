@@ -368,7 +368,7 @@ def test_writhe_refuses_a_curve_that_meets_itself_in_a_vertical_plane():
     # A bowtie in the plane y = 0: its two diagonals meet at (1, 0, 1),
     # and all four edges project into one line.
     bowtie = PolyCurve([(0, 0, 0), (2, 0, 2), (2, 0, 0), (0, 0, 2)])
-    with pytest.raises(CurvesIntersect):
+    with pytest.raises(CurvesIntersect, match="a curve meets itself"):
         writhe_pl(bowtie)
 
 
@@ -515,22 +515,25 @@ def test_curves_from_dict_rejects_non_numbers(bad):
 # --- the box sweep ----------------------------------------------------------
 
 
-def assert_sweep_covers_dense(arrays):
+SWEEP_AXES = [EZ, ProjectionAxis((1, 0, 0)), ProjectionAxis((0.6, 0, 0.8))]
+
+
+def assert_sweep_covers_dense(arrays, basis):
     """Every pair the dense box test keeps is in the sweep's output, which
     holds only pairs a < b on distinct polylines (or, for one polyline,
     non-identical segments of it)."""
     start = np.cumsum([0] + [len(a) for a in arrays])
     owner = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
-    swept = _box_pairs(arrays)
+    swept = _box_pairs(arrays, basis)
     assert len(set(swept)) == len(swept)
     assert all(a < b for a, b in swept)
     if len(arrays) > 1:
         assert all(owner[a] != owner[b] for a, b in swept)
         for k, m in combinations(range(len(arrays)), 2):
-            dense = dense_box_pairs(arrays[k], arrays[m])
+            dense = dense_box_pairs(arrays[k], arrays[m], basis)
             assert {(start[k] + i, start[m] + j) for i, j in dense} <= set(swept)
     else:
-        dense = {(i, j) for i, j in dense_box_pairs(arrays[0], arrays[0]) if i < j}
+        dense = {(i, j) for i, j in dense_box_pairs(arrays[0], arrays[0], basis) if i < j}
         assert dense <= set(swept)
 
 
@@ -540,33 +543,58 @@ def test_box_sweep_contains_dense_survivors_on_random_curves(rng):
             random_loop(rng, int(rng.integers(3, 40))) + rng.normal(scale=2, size=3)
             for _ in range(int(rng.integers(2, 5)))
         ]
-        assert_sweep_covers_dense(arrays)
-        assert_sweep_covers_dense([a[:, :2] for a in arrays])
-        for a in arrays:
-            assert_sweep_covers_dense([a])
-            assert_sweep_covers_dense([a[:, 1:]])
+        for axis in SWEEP_AXES:
+            assert_sweep_covers_dense(arrays, axis._basis)
+            for a in arrays:
+                assert_sweep_covers_dense([a], axis._basis)
 
 
 def test_box_sweep_contains_dense_survivors_on_touching_axis_aligned_boxes():
     # Unit squares on the integer lattice share edges and corners exactly;
     # their edges have boxes of zero width, and the vertical edges of the
-    # last curve project to points.
+    # last curve project to points along EZ.
     squares = [
         np.array([(x, y, 0), (x + 1, y, 0), (x + 1, y + 1, 0), (x, y + 1, 0)], float)
         for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (5, 0)]
     ]
     post = np.array([(1, 1, 0), (1, 1, 2), (3, 1, 2), (3, 1, 0)], float)
     arrays = [*squares, post]
-    assert_sweep_covers_dense(arrays)
-    assert_sweep_covers_dense([a[:, :2] for a in arrays])
-    assert_sweep_covers_dense([np.concatenate(squares)])
+    for axis in SWEEP_AXES:
+        assert_sweep_covers_dense(arrays, axis._basis)
+        assert_sweep_covers_dense([np.concatenate(squares)], axis._basis)
     # Boxes exactly one margin apart: 1e-7 of the largest coordinate, 1.
     gap = [
         np.array([(-1, 0, 0), (0, 0, 0), (0, 1, 0)], float),
         np.array([(1e-7, 0, 0), (1, 0, 0), (1, 1, 0)], float),
     ]
-    assert dense_box_pairs(*gap)
-    assert_sweep_covers_dense(gap)
+    assert dense_box_pairs(*gap, EZ._basis)
+    assert_sweep_covers_dense(gap, EZ._basis)
+
+
+def test_box_sweep_margin_follows_the_3d_coordinates():
+    # Far out along the axis a set is thin in projection, while the float
+    # error of its projected points is relative to its 3D coordinates.
+    axis = ProjectionAxis((0.6, 0, 0.8))
+    far = (3 * 2**60, 0, 4 * 2**60)
+    gen = random.Random(0)
+
+    def point():
+        return tuple(gen.randint(-1000, 1000) for _ in range(3))
+
+    for _ in range(300):
+        # Two triangles meeting at p: a vertex of one, the midpoint of an
+        # edge of the other.
+        p, a, b, c, d = (point() for _ in range(5))
+        m = PolyCurve([p, a, b])
+        n = PolyCurve([c, tuple(2 * x - y for x, y in zip(p, c)), d])
+        with pytest.raises(CurvesIntersect):
+            linking_matrix([m.translated(far), n.translated(far)], axis)
+    # A Hopf pair of squares 2000 wide keeps its value out there.
+    m = PolyCurve([(-1000, -1000, 0), (1000, -1000, 0), (1000, 1000, 0), (-1000, 1000, 0)])
+    n = PolyCurve([(0, -500, -1000), (0, 2000, -1000), (0, 2000, 1000), (0, -500, 1000)])
+    for _ in range(20):
+        offset = tuple(f + gen.randint(-3000, 3000) for f in far)
+        assert linking_number_pl(m.translated(offset), n.translated(offset), axis) == -1
 
 
 # --- the integer kernel -----------------------------------------------------
@@ -831,27 +859,21 @@ def test_circle_refuses_a_zero_normal():
     "arguments, error",
     [({"n": 2.5}, InvalidParams), ({"n": True}, InvalidParams), ({"n": "8"}, InvalidParams),
      ({"radius": "1"}, ParseError), ({"radius": None}, ParseError),
-     ({"radius": False}, ParseError), ({"radius": 10**400}, ParseError)],
+     ({"radius": False}, ParseError), ({"radius": 10**400}, ParseError),
+     ({"center": ("1", "0", "0")}, ParseError), ({"center": (0, 0)}, ParseError),
+     ({"center": (0, 0, 0, 0)}, ParseError), ({"center": (True, 0, 0)}, ParseError),
+     ({"center": None}, ParseError), ({"center": (10**400, 0, 0)}, ParseError),
+     ({"normal": ("0", "0", "1")}, ParseError), ({"normal": (0, 1)}, ParseError),
+     ({"normal": (0, 0, 1, 0)}, ParseError), ({"normal": (0, 0, True)}, ParseError),
+     ({"normal": (0, 0, 1e-320)}, ParseError), ({"normal": (1e200, 0, 0)}, ParseError)],
     ids=["n float", "n bool", "n str", "radius str", "radius None", "radius bool",
-         "radius beyond float"],
+         "radius beyond float", "center str", "center 2", "center 4", "center bool",
+         "center None", "center beyond float", "normal str", "normal 2", "normal 4",
+         "normal bool", "normal subnormal", "normal overflowing"],
 )
 def test_circle_refuses_a_bad_count_or_radius(arguments, error):
+    # Center and normal are checked as the radius is, so their cases are here too.
     with pytest.raises(error):
-        circle(**{"center": (0, 0, 0), "radius": 1.0, "normal": (0, 0, 1), **arguments})
-
-
-@pytest.mark.parametrize(
-    "arguments",
-    [{"center": ("1", "0", "0")}, {"center": (0, 0)}, {"center": (0, 0, 0, 0)},
-     {"center": (True, 0, 0)}, {"center": None}, {"center": (10**400, 0, 0)},
-     {"normal": ("0", "0", "1")}, {"normal": (0, 1)}, {"normal": (0, 0, 1, 0)},
-     {"normal": (0, 0, True)}, {"normal": (0, 0, 1e-320)}, {"normal": (1e200, 0, 0)}],
-    ids=["center str", "center 2", "center 4", "center bool", "center None",
-         "center beyond float", "normal str", "normal 2", "normal 4", "normal bool",
-         "normal subnormal", "normal overflowing"],
-)
-def test_circle_refuses_a_bad_center_or_normal(arguments):
-    with pytest.raises(ParseError):
         circle(**{"center": (0, 0, 0), "radius": 1.0, "normal": (0, 0, 1), **arguments})
 
 
