@@ -31,7 +31,6 @@ from .errors import (
     InvalidParams,
     LabelMismatch,
     MalformedToken,
-    NonGenericProjection,
     NonIntegerResult,
     NonRealizable,
     ParseError,
@@ -40,15 +39,14 @@ from .errors import (
 if TYPE_CHECKING:
     from . import linking
 
-# Code 9 is retired: scripts written against it may still test for it,
-# so it is never reused.
+# Codes 7 and 9 are retired: scripts written against them may still test
+# for them, so they are never reused.
 EXIT_CODES = {
     ParseError: 2,
     IndexOutOfRange: 3,
     AsymmetricEntry: 4,
     DuplicateIndex: 5,
     InconsistentEvent: 6,
-    NonGenericProjection: 7,
     CurvesIntersect: 8,
     InvalidParams: 10,
     MalformedToken: 11,

@@ -2,7 +2,8 @@
 
 Every error raised by this package derives from :class:`HaefligerError`,
 so callers (and the CLI) can catch one base class and map subclasses to
-exit codes.
+exit codes.  A class that nothing raises any more is deleted, and its
+exit code is retired rather than reused.
 """
 
 
@@ -24,12 +25,6 @@ class DuplicateIndex(HaefligerError):
 
 class InconsistentEvent(HaefligerError):
     """A homotopy event's data is inconsistent (e.g. index out of 1..2k-1)."""
-
-
-class NonGenericProjection(HaefligerError):
-    """A writhe's projection puts a vertex on a non-adjacent edge, so the
-    count depends on how the axis is tilted; choose another axis.  Linking
-    numbers never raise it."""
 
 
 class CurvesIntersect(HaefligerError):

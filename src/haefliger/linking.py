@@ -19,6 +19,9 @@ its ``Fraction`` vertices and its float array are made on first use.
 Floats only serve a box prefilter, one sort-and-sweep over the
 projections of every segment of the set.
 
+``writhe_pl`` counts a curve's own crossings with the same predicate along
+the same tilted axis, so no projection is refused anywhere.
+
 numpy is imported only inside the five float functions: ``_array``,
 ``_project``, ``_box_pairs``, ``_resample`` and
 ``gauss_linking_quadrature``.  Building and writing curves needs none of
@@ -40,8 +43,7 @@ from math import cos, inf, isfinite, lcm, pi, sin, sqrt
 from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import CurvesIntersect, HaefligerError, InvalidParams, NonGenericProjection
-from .errors import ParseError
+from .errors import CurvesIntersect, HaefligerError, InvalidParams, ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -249,16 +251,15 @@ def _dets(d1: Vec3, d2: Vec3, r: Vec3, a) -> tuple:
     return _dot(d1, c2), _dot(r, c2), _dot(r, c1)
 
 
-def _segment_crossings(seg1: Segment, seg2: Segment, basis, refuse: bool) -> int:
+def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
     """Sign (+1 or -1) of the crossing of two projected segments, 0 if they miss.
 
     Along a = w + e*u + e^2*v, e > 0 infinitesimal ("Simulation of
     Simplicity", Edelsbrunner and Muecke, 1990), they meet at S/D on seg1
     and T/D on seg2, for D = det(d1, d2, a), S = det(r, d2, a) and
     T = det(r, d1, a); the sign is -sign det(d1, d2, r).  Raises
-    CurvesIntersect iff the segments meet in R^3, except that ``refuse``
-    refuses a vertex over the other segment along w (NonGenericProjection)
-    first; without it, the e, then e^2 entries decide that case.
+    CurvesIntersect iff the segments meet in R^3; otherwise a vertex over
+    the other segment along w is decided by the e, then e^2 entries.
     Division-free: it runs in integers.
     """
     (p0, p1), (q0, q1) = seg1, seg2
@@ -273,8 +274,6 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis, refuse: bool) -> int
     if s < 0 or s > den or t < 0 or t > den:
         return 0
     if s == 0 or s == den or t == 0 or t == den:
-        if refuse:
-            raise NonGenericProjection("a vertex projects onto an edge")
         if _segments_meet(seg1, seg2):
             raise CurvesIntersect(_MEET)
         # As e -> 0+, each has the sign of its first nonzero (w, u, v) entry.
@@ -363,7 +362,7 @@ def linking_matrix(
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
     for a, b in _box_pairs([c.as_array() for c in curves], basis):
-        totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis, False)
+        totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis)
     if any(total % 2 for total in totals.values()):
         raise HaefligerError("odd signed crossing count of two closed curves")
     return {key: total // 2 for key, total in totals.items()}
@@ -378,10 +377,12 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     """Writhe: signed count of self-crossings of the projection.
 
     The paper-level half-sum over ordered pairs collapses to a plain sum
-    over unordered crossings.  Only a vertex over a non-adjacent edge, where
-    a tilt of the axis could change the count, raises NonGenericProjection;
-    non-adjacent edges that meet elsewhere, and adjacent edges that overlap
-    (the curve folds back along an edge), raise CurvesIntersect.
+    over unordered crossings.  A writhe depends on the axis, so it is
+    taken along ``axis`` tilted infinitesimally towards u, then v, of its
+    plane basis (for EZ, towards -y first): a vertex over a non-adjacent
+    edge gets the value of that tilt.  Non-adjacent edges that meet, and
+    adjacent edges that overlap (the curve folds back along an edge),
+    raise CurvesIntersect.
     """
     basis = axis._basis
     segs = _on_one_grid([curve])
@@ -393,7 +394,7 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     try:
         for i, j in _box_pairs([curve.as_array()], basis):
             if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
-                total += _segment_crossings(segs[i], segs[j], basis, True)
+                total += _segment_crossings(segs[i], segs[j], basis)
     except CurvesIntersect:
         raise CurvesIntersect("a curve meets itself in R^3") from None
     return total

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from haefliger.errors import CurvesIntersect, NonGenericProjection, ParseError
+from haefliger.errors import CurvesIntersect, ParseError
 from haefliger.linking import PolyCurve, _project, _segments_meet, circle, linking_matrix
 
 
@@ -169,14 +169,19 @@ def plane_basis_oracle(direction):
     return u, _cross(w, u), w
 
 
+class OracleDegenerate(Exception):
+    """The oracles' own signal that an axis is not generic for them: a
+    projected vertex on the other segment, or an odd crossing count.  The
+    library decides every axis, so it has no error of this kind."""
+
+
 def crossing_sign_oracle(seg1, seg2, basis):
     """Sign (+1 or -1) of the crossing of two projected segments, 0 if they
     miss, from the crossing parameters s and t as ``Fraction`` quotients.
 
     Parallel projections, or one that is a point, miss: they do along
     every nearby axis.  A vertex on the other projected segment raises
-    NonGenericProjection, and a crossing whose preimages meet
-    CurvesIntersect.
+    OracleDegenerate, and a crossing whose preimages meet CurvesIntersect.
     """
     u, v, w = basis
     p0, p1 = seg1
@@ -193,7 +198,7 @@ def crossing_sign_oracle(seg1, seg2, basis):
     t = Fraction(r[0] * a1[1] - r[1] * a1[0], denom)
     if s <= 0 or s >= 1 or t <= 0 or t >= 1:
         if (0 <= s <= 1 and t in (0, 1)) or (0 <= t <= 1 and s in (0, 1)):
-            raise NonGenericProjection("projected crossing at a vertex")
+            raise OracleDegenerate("projected crossing at a vertex")
         return 0
     h1 = _dot(p0, w) + s * _dot(d1, w)
     h2 = _dot(q0, w) + t * _dot(d2, w)
@@ -219,7 +224,7 @@ def naive_linking_oracle(m, n, direction=(0, 0, 1)):
         for s2 in curve_segments(n)
     )
     if total % 2:
-        raise NonGenericProjection("odd signed crossing count")
+        raise OracleDegenerate("odd signed crossing count")
     return total // 2
 
 

@@ -110,6 +110,8 @@ VERTICAL_EDGE = {"components": [[[-3, -1, 0], [3, -1, 0], [3, 1, 0], [-3, 1, 0]]
                                 [[0, -1, 1], [0, -1, 3], [1, 0, 2]]]}
 # The last vertex projects onto the first edge along z.
 VERTEX_OVER_EDGE = {"components": [[[0, 0, 0], [4, 0, 0], [4, 4, 0], [2, 0, 1]]]}
+# The fourth vertex lies on the first edge in R^3.
+VERTEX_ON_EDGE = {"components": [[[0, 0, 0], [4, 0, 0], [4, 4, 0], [2, 0, 0], [0, 4, 0]]]}
 
 
 def test_lk_and_murai_ohba_decide_a_vertical_edge(capsys, tmp_path):
@@ -119,11 +121,18 @@ def test_lk_and_murai_ohba_decide_a_vertical_edge(capsys, tmp_path):
     assert run_cli(capsys, "murai-ohba", str(path))[0] == 0
 
 
-def test_writhe_of_a_vertex_over_an_edge_exits_7(capsys, tmp_path):
+def test_writhe_of_a_vertex_over_an_edge_exits_0(capsys, tmp_path):
+    # Decided along EZ tilted towards -y, where the edges miss.
     path = tmp_path / "vertex.json"
     path.write_text(json.dumps(VERTEX_OVER_EDGE))
-    assert cli.run(["writhe", str(path)]) == 7
-    assert "vertex" in capsys.readouterr().err
+    assert run_cli(capsys, "writhe", str(path)) == (0, "writhe_0: 0\n")
+
+
+def test_writhe_of_a_vertex_on_an_edge_exits_8(capsys, tmp_path):
+    path = tmp_path / "vertex.json"
+    path.write_text(json.dumps(VERTEX_ON_EDGE))
+    assert cli.run(["writhe", str(path)]) == 8
+    assert "a curve meets itself" in capsys.readouterr().err
 
 
 def test_writhe_of_a_curve_that_folds_back_exits_8(capsys, tmp_path):

@@ -98,7 +98,7 @@ def test_numpy_import_rule_sees_every_import_form():
 
 def test_exit_codes_map_exactly_the_errors_the_library_raises():
     # An error class only the tests raise, or one without its own exit
-    # code, fails here; code 9 is retired and is not reused.
+    # code, fails here; codes 7 and 9 are retired and are not reused.
     defined = {
         cls for cls in vars(errors).values()
         if isinstance(cls, type) and issubclass(cls, errors.HaefligerError)
@@ -107,7 +107,7 @@ def test_exit_codes_map_exactly_the_errors_the_library_raises():
     assert set(cli.EXIT_CODES) == defined
     codes = list(cli.EXIT_CODES.values())
     assert len(set(codes)) == len(codes)
-    assert 9 not in codes
+    assert 7 not in codes and 9 not in codes
     # A class counts as raised where it is built: some helpers return
     # the error for their caller to raise.
     built = {
@@ -118,22 +118,3 @@ def test_exit_codes_map_exactly_the_errors_the_library_raises():
     }
     assert sorted(cls.__name__ for cls in defined if cls.__name__ not in built) == []
 
-
-def test_only_one_place_refuses_a_projection():
-    # A linking number is decided along every axis; only a writhe refuses
-    # one, where a vertex projects onto a non-adjacent edge.
-    built = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "NonGenericProjection"
-    ]
-    raised = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "NonGenericProjection"
-    ]
-    assert len(raised) == 1 and raised == built
