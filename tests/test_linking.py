@@ -644,6 +644,27 @@ def on_grid(*segments):
     return [tuple(tuple(int(x * scale) for x in p) for p in seg) for seg in segments]
 
 
+@KERNEL
+@given(segment_pairs(), _directions)
+def test_integer_crossing_test_matches_the_rational_oracle(pair, direction):
+    # The basis is integral, so the predicate runs in integers.  Segments
+    # that meet raise CurvesIntersect (the oracle calls parallel projections
+    # a miss whether they meet or not); elsewhere, where the untilted axis
+    # is generic for the oracle, the two agree.
+    basis = _plane_basis(ProjectionAxis(direction))
+    assert all(type(x) is int for vec in basis for x in vec)
+    expected = outcome(crossing_sign_oracle, *pair, plane_basis_oracle(direction))
+    meet = _segments_meet(*pair)
+    if meet:
+        assert expected in (0, CurvesIntersect, OracleDegenerate)
+        expected = CurvesIntersect
+    grid = on_grid(*pair)
+    if expected is not OracleDegenerate:
+        assert outcome(_segment_crossings, *grid, basis) == expected
+        assert outcome(_segment_crossings, *grid[::-1], basis) == expected
+    assert _segments_meet(*grid) == meet
+
+
 TILT = Fraction(1, 10**60)
 
 
@@ -652,23 +673,17 @@ TILT = Fraction(1, 10**60)
 def test_perturbed_crossing_test_matches_the_oracle_along_a_tilted_axis(pair, direction):
     # Segments that meet raise CurvesIntersect, and a disjoint pair is
     # decided as along the axis w + TILT*u + TILT**2*v, which no pair of
-    # these segments meets degenerately.  Where the untilted axis is
-    # generic for the oracle, the tilt changes nothing.
-    basis = _plane_basis(ProjectionAxis(direction))
-    assert all(type(x) is int for vec in basis for x in vec)
-    meet = _segments_meet(*pair)
-    if meet:
+    # these segments meets degenerately.
+    if _segments_meet(*pair):
         expected = CurvesIntersect
     else:
         u, v, w = plane_basis_oracle(direction)
         tilted = tuple(c + TILT * a + TILT**2 * b for a, b, c in zip(u, v, w))
         expected = crossing_sign_oracle(*pair, plane_basis_oracle(tilted))
-        untilted = outcome(crossing_sign_oracle, *pair, plane_basis_oracle(direction))
-        assert untilted in (expected, OracleDegenerate)
+    basis = _plane_basis(ProjectionAxis(direction))
     grid = on_grid(*pair)
     assert outcome(_segment_crossings, *grid, basis) == expected
     assert outcome(_segment_crossings, *grid[::-1], basis) == expected
-    assert _segments_meet(*grid) == meet
 
 
 def test_linking_matrix_off_the_dyadic_grid():
