@@ -8,16 +8,14 @@ and its descending (hence trivial) companion.  ``v2`` computes that in
 one pass, in the form of Lin and Wang: half the sign products over the
 linked pairs that the descending switch splits.
 
+Every ``GaussDiagramK`` is the code of a planar knot diagram: its
+constructor refuses any other code with NonRealizable, so ``v2`` and the
+oracle never see a virtual knot, on which the Gauss-diagram v2 is not an
+invariant (Goussarov, Polyak and Viro, 2000).
+
 An independent skein-recursion oracle computes the z^2 coefficient of
 the Conway polynomial for cross-checking; it shares no code path with
 the pairing.
-
-Both are defined for realizable codes only, i.e. Gauss codes of planar
-knot diagrams.  The oracle's parity check (every arrow interleaves
-evenly many arrows) is necessary for planarity but not sufficient, and
-``v2`` checks nothing: ``O1+U2+O3-U1+O2+U3-``, the trefoil word with
-mixed signs, passes the parity check without being a planar diagram,
-and on it ``v2`` returns 0 while ``conway_a2_oracle`` returns 1.
 """
 
 from __future__ import annotations
@@ -25,12 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    LabelMismatch,
-    MalformedToken,
-    NonIntegerResult,
-    NonRealizable,
-)
+from .errors import HaefligerError, LabelMismatch, MalformedToken, NonRealizable
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,8 @@ class Arrow:
 
 @dataclass(frozen=True)
 class GaussDiagramK:
-    """Based Gauss diagram of a knot: signed arrows on positions 0..2n-1."""
+    """Based Gauss diagram of a planar knot diagram: signed arrows on
+    positions 0..2n-1."""
 
     arrows: tuple[Arrow, ...]
 
@@ -61,14 +55,42 @@ class GaussDiagramK:
 
     def __post_init__(self) -> None:
         positions = [p for a in self.arrows for p in (a.over, a.under)]
-        if sorted(positions) != list(range(2 * self.n)):
-            raise LabelMismatch("arrow endpoints must fill positions 0..2n-1")
+        if sorted(positions) != list(range(2 * self.n)) or any(
+            type(p) is not int for p in positions
+        ):
+            raise LabelMismatch("arrow endpoints must be the ints 0..2n-1")
         labels = [a.label for a in self.arrows]
         if len(set(labels)) != len(labels):
             raise LabelMismatch("duplicate arrow label")
         for a in self.arrows:
-            if a.sign not in (1, -1):
-                raise LabelMismatch(f"sign of {a.label} must be +1 or -1")
+            if type(a.sign) is not int or a.sign not in (1, -1):
+                raise LabelMismatch(f"sign of {a.label} must be the int +1 or -1")
+        # Planarity.  Half-edge 2p leaves passage p and 2p + 1 arrives at
+        # passage p + 1; the sign fixes their counterclockwise order at a
+        # crossing: over-out, under-out, over-in, under-in if positive,
+        # with under-out and under-in swapped if negative.  With V = n and
+        # E = 2n, the surface this ribbon graph spans (the Carter surface)
+        # is a sphere iff it has F = n + 2 faces (Kauffman 1999).
+        ends = 4 * self.n
+        turn = [0] * ends
+        for a in self.arrows:
+            over_out, over_in = 2 * a.over, (2 * a.over - 1) % ends
+            under_out, under_in = 2 * a.under, (2 * a.under - 1) % ends
+            if a.sign < 0:
+                under_out, under_in = under_in, under_out
+            turn[over_out], turn[under_out] = under_out, over_in
+            turn[over_in], turn[under_in] = under_in, over_out
+        faces, unseen = 0, [True] * ends
+        for start in range(ends):
+            if unseen[start]:
+                faces += 1
+                h = start
+                while unseen[h]:
+                    unseen[h] = False
+                    h = turn[h ^ 1]
+        if self.n and faces != self.n + 2:
+            genus = (self.n + 2 - faces) // 2
+            raise NonRealizable(f"not the code of a planar diagram (genus {genus})")
 
 
 _TOKEN = re.compile(r"([OUou])([A-Za-z0-9]+?)([+-])")
@@ -167,11 +189,8 @@ def v2(diagram: GaussDiagramK) -> int:
     Switching an arrow negates its sign and keeps its endpoints, so the
     descending switch negates just these products: the pairing difference
     ``x_pairing(g) - x_pairing(switch(g, descending_set(g)))`` is twice
-    the sum, and v2, a quarter of that difference, is half the sum.  An
-    odd sum raises NonIntegerResult.
-
-    Defined for realizable (planar) codes only; a non-realizable code is
-    not refused and gives a meaningless value (see the module docstring).
+    the sum, and v2, a quarter of that difference, is half the sum.  The
+    sum of a planar code is even, so an odd one is an internal error.
     """
     arrows = diagram.arrows
     total = 0
@@ -181,7 +200,7 @@ def v2(diagram: GaussDiagramK) -> int:
             if (b.under < b.over) != descends and _interleaved(a, b):
                 total += a.sign * b.sign
     if total % 2:
-        raise NonIntegerResult(f"split pairing sum {total} is odd")
+        raise HaefligerError(f"split pairing sum {total} of a planar code is odd")
     return total // 2
 
 
@@ -282,7 +301,6 @@ def conway_polynomial(diagram: GaussDiagramK) -> Poly:
     Sub-links met twice in one recursion are looked up in a memo that
     lives for this call only, so nothing stays allocated after it returns.
     """
-    _check_parity(diagram)
     component = tuple(
         (a.label, "O" if p == a.over else "U")
         for p, a in sorted(
@@ -293,25 +311,7 @@ def conway_polynomial(diagram: GaussDiagramK) -> Poly:
     return _conway((component,), signs, {})
 
 
-def _check_parity(diagram: GaussDiagramK) -> None:
-    """Necessary planarity condition: every arrow links evenly many arrows.
-
-    Not sufficient: ``O1+U2+O3-U1+O2+U3-`` passes but is not planar.
-    """
-    for a in diagram.arrows:
-        count = sum(1 for b in diagram.arrows if b is not a and _interleaved(a, b))
-        if count % 2 != 0:
-            raise NonRealizable(
-                f"arrow {a.label} interleaves an odd number of arrows"
-            )
-
-
 def conway_a2_oracle(diagram: GaussDiagramK) -> int:
-    """z^2 coefficient of the Conway polynomial; equals v2 for knots.
-
-    Defined for realizable (planar) codes only.  Codes failing the parity
-    check raise NonRealizable, but passing it does not make a code
-    realizable (see the module docstring).
-    """
+    """z^2 coefficient of the Conway polynomial; equals v2 for knots."""
     poly = conway_polynomial(diagram)
     return poly[2] if len(poly) > 2 else 0

@@ -31,7 +31,6 @@ from .errors import (
     InvalidParams,
     LabelMismatch,
     MalformedToken,
-    NonIntegerResult,
     NonRealizable,
     ParseError,
 )
@@ -39,7 +38,7 @@ from .errors import (
 if TYPE_CHECKING:
     from . import linking
 
-# Codes 7 and 9 are retired: scripts written against them may still test
+# Codes 7, 9 and 13 are retired: scripts written against them may still test
 # for them, so they are never reused.
 EXIT_CODES = {
     ParseError: 2,
@@ -51,7 +50,6 @@ EXIT_CODES = {
     InvalidParams: 10,
     MalformedToken: 11,
     LabelMismatch: 12,
-    NonIntegerResult: 13,
     NonRealizable: 14,
 }
 GENERIC_ERROR = 15
@@ -247,10 +245,11 @@ def _cmd_v2(args) -> dict:
     g = classical.parse_gauss_code(code)
     result: dict = {"v2": classical.v2(g)}
     if args.verbose:
-        descended = classical.switch(g, classical.descending_set(g))
+        descending = classical.descending_set(g)
+        descended = classical.switch(g, descending)
         result["x_pairing"] = classical.x_pairing(g)
         result["x_pairing_descending"] = classical.x_pairing(descended)
-        result["descending_set"] = sorted(classical.descending_set(g))
+        result["descending_set"] = sorted(descending)
     return result
 
 

@@ -43,12 +43,8 @@ class LabelMismatch(HaefligerError):
     """A crossing label is missing an O or U passage, or signs disagree."""
 
 
-class NonIntegerResult(HaefligerError):
-    """A value that must be an integer came out fractional."""
-
-
 class NonRealizable(HaefligerError):
-    """The Gauss code fails a planarity condition."""
+    """The Gauss code is not the code of a planar knot diagram."""
 
 
 class ParseError(HaefligerError):

@@ -133,8 +133,8 @@ def generator_double_point_curves(
     """
     if params.k != 1:
         raise InvalidParams("explicit curves are only constructed for k = 1")
-    if type(n) is not int:
-        raise InvalidParams(f"n must be an int, not {n!r}")
+    if type(n) is not int or n < 3:
+        raise InvalidParams(f"n must be an int >= 3, not {n!r}")
     alpha = float(params.alpha)
     beta = float(params.beta)
     bp = beta / sqrt(2.0)  # offset magnitude along the diagonal direction

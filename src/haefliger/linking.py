@@ -440,12 +440,12 @@ def circle(
     """Regular n-gon approximating a circle with the given plane normal.
 
     Oriented counterclockwise when viewed from the tip of ``normal``.
-    ``n`` must be an int; ``radius`` must be a real number and ``center``
-    and ``normal`` three real numbers each, all in the float range (a bool
-    is neither an int nor a real number here).
+    ``n`` must be an int >= 3; ``radius`` must be a real number and
+    ``center`` and ``normal`` three real numbers each, all in the float
+    range (a bool is neither an int nor a real number here).
     """
-    if type(n) is not int:
-        raise InvalidParams(f"n must be an int, not {n!r}")
+    if type(n) is not int or n < 3:
+        raise InvalidParams(f"n must be an int >= 3, not {n!r}")
     radius = _real("radius", radius)
     c, w = _real_triple("center", center), _unit(_real_triple("normal", normal))
     i = min(range(3), key=lambda t: abs(w[t]))

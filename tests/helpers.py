@@ -76,6 +76,17 @@ def connect_sum_code(code1, code2):
 
 FIGURE_EIGHT = "O1+U2-O4-U1+O3+U4-O2-U3+"
 
+# Gauss codes of no planar diagram.  The first passes the parity test below.
+NON_PLANAR_CODES = ("O1+U2+O3-U1+O2+U3-", "O1+U2+U1+O2+", "O1+O2+U1+U2+")
+
+
+def interleaving_parity(arrows):
+    """Gauss's necessary condition for planarity: every arrow interleaves
+    evenly many others.  Between an arrow's two ends lie one end of each
+    arrow it interleaves and both ends of each arrow nested inside it, so
+    the condition is that the two ends lie an odd distance apart."""
+    return all((a.over - a.under) % 2 for a in arrows)
+
 
 def hopf_link(n_vertices=48):
     """The positively oriented Hopf link as two polygonal circles."""

@@ -1,9 +1,11 @@
 import gc
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from haefliger.classical import (
+    Arrow,
     GaussDiagramK,
     conway_a2_oracle,
     conway_polynomial,
@@ -18,8 +20,10 @@ from haefliger.errors import LabelMismatch, MalformedToken, NonRealizable
 
 from helpers import (
     FIGURE_EIGHT,
+    NON_PLANAR_CODES,
     braid_closure_code,
     connect_sum_code,
+    interleaving_parity,
     torus_knot_code,
 )
 
@@ -49,6 +53,9 @@ def test_parse_errors():
         parse_gauss_code("O1+U2+O2+")  # missing under passage of 1
     with pytest.raises(LabelMismatch):
         GaussDiagramK(parse_gauss_code(TREFOIL).arrows[:2])
+    for over, sign in ((0.0, 1), (0, 1.0), (0, True)):
+        with pytest.raises(LabelMismatch):
+            GaussDiagramK((Arrow("1", over, 1, sign),))
 
 
 def test_x_pairing_values():
@@ -135,6 +142,79 @@ def test_conway_mirror_of_knot_with_symmetric_polynomial():
 def test_oracle_rejects_nonrealizable():
     with pytest.raises(NonRealizable):
         conway_a2_oracle(parse_gauss_code("O1+O2+U1+U2+"))
+
+
+@pytest.mark.parametrize("code", NON_PLANAR_CODES)
+def test_non_planar_codes_are_refused(code):
+    with pytest.raises(NonRealizable):
+        parse_gauss_code(code)
+
+
+def test_direct_construction_refuses_a_non_planar_code():
+    # The trefoil's arrows with the sign of crossing 3 changed.
+    arrows = tuple(
+        Arrow(a.label, a.over, a.under, -1 if a.label == "3" else 1)
+        for a in parse_gauss_code(TREFOIL).arrows
+    )
+    with pytest.raises(NonRealizable):
+        GaussDiagramK(arrows)
+
+
+def _pairings(free):
+    """Every way to split the positions in ``free`` into pairs."""
+    if not free:
+        yield []
+        return
+    first, rest = free[0], free[1:]
+    for i, other in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, other), *tail]
+
+
+def _signed_codes(n):
+    """The arrows of every signed Gauss code on n crossings: each pairing
+    of the 2n positions, each choice of over end, each choice of signs."""
+    for pairs in _pairings(list(range(2 * n))):
+        for flips in product((False, True), repeat=n):
+            for signs in product((1, -1), repeat=n):
+                yield tuple(
+                    Arrow(str(i), *(pair[::-1] if flip else pair), sign)
+                    for i, (pair, flip, sign) in enumerate(zip(pairs, flips, signs))
+                )
+
+
+def test_every_code_up_to_four_crossings_is_refused_or_gets_the_oracle_v2():
+    accepted = 0
+    for n in range(5):
+        for arrows in _signed_codes(n):
+            try:
+                g = GaussDiagramK(arrows)
+            except NonRealizable:
+                continue
+            assert interleaving_parity(arrows)
+            assert v2(g) == conway_a2_oracle(g)
+            accepted += 1
+    # Of the 1, 4, 48, 960 and 26 880 codes on 0..4 crossings, 1, 4, 32,
+    # 336 and 4160 are planar.
+    assert accepted == 4533
+
+
+def test_switch_and_rotate_keep_braid_closures_planar(rng):
+    knots = 0
+    while knots < 100:
+        strands = int(rng.integers(2, 6))
+        word = [int(g) * int(rng.choice((-1, 1)))
+                for g in rng.integers(1, strands, size=int(rng.integers(1, 31)))]
+        try:
+            g = parse_gauss_code(braid_closure_code(word, strands))
+        except ValueError:  # the closure is a link, not a knot
+            continue
+        knots += 1
+        labels = [a.label for a in g.arrows]
+        for shift in range(2 * g.n):
+            rotate_basepoint(g, shift)
+        for _ in range(5):
+            switch(g, {l for l in labels if rng.random() < 0.5})
 
 
 def test_v2_matches_oracle_on_braid_closures(rng):

@@ -14,7 +14,7 @@ from haefliger.generator import generator_diagram
 from haefliger.linking import curves_to_dict
 
 from conftest import random_diagram
-from helpers import hopf_link
+from helpers import NON_PLANAR_CODES, hopf_link
 
 
 def run_cli(capsys, *args):
@@ -260,6 +260,12 @@ def test_generator_command(capsys):
     assert len(doc["labels"]) == 12
 
 
+def test_generator_refuses_fewer_than_three_vertices_per_circle(capsys):
+    for resolution in ("2", "0", "-4"):
+        assert cli.run(["generator", "--curves", "--resolution", resolution]) == 10
+        assert "n must be an int >= 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "resolution, digest",
     [("32", "8531f205f38ef3f3955c1ee2a98c181b006a6881eba33ab3a12b7398cb64a34c"),
@@ -333,8 +339,16 @@ def test_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert cli.run(["v2", "O1+U1-"]) == 12
     capsys.readouterr()
-    assert cli.run(["v2", "O1+U2+U1+O2+"]) == 13  # not planar: odd pairing sum
+    assert cli.run(["v2", "O1+U2+U1+O2+"]) == 14  # not planar
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("code", NON_PLANAR_CODES)
+def test_v2_refuses_a_non_planar_code(capsys, code):
+    assert cli.run(["v2", "--verbose", code]) == 14
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not the code of a planar diagram" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -44,11 +44,13 @@ def test_params_validation():
         (lambda: generator_diagram(True), ParseError),
         (lambda: generator_double_point_curves(n=2.5), InvalidParams),
         (lambda: generator_double_point_curves(n="64"), InvalidParams),
+        (lambda: generator_double_point_curves(n=2), InvalidParams),
+        (lambda: verify_generator(n=0), InvalidParams),
         (lambda: verify_generator(n=None), InvalidParams),
     ],
     ids=["alpha nan", "alpha inf", "alpha str", "beta bool", "alpha None", "k str",
          "k float", "k 0", "diagram k str", "diagram k bool", "n float", "n str",
-         "verify n None"],
+         "n 2", "verify n 0", "verify n None"],
 )
 def test_generator_inputs_are_typed(build, error):
     with pytest.raises(error):

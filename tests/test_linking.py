@@ -856,6 +856,7 @@ def test_circle_refuses_a_zero_normal():
 @pytest.mark.parametrize(
     "arguments, error",
     [({"n": 2.5}, InvalidParams), ({"n": True}, InvalidParams), ({"n": "8"}, InvalidParams),
+     ({"n": 2}, InvalidParams), ({"n": 0}, InvalidParams), ({"n": -3}, InvalidParams),
      ({"radius": "1"}, ParseError), ({"radius": None}, ParseError),
      ({"radius": False}, ParseError), ({"radius": 10**400}, ParseError),
      ({"center": ("1", "0", "0")}, ParseError), ({"center": (0, 0)}, ParseError),
@@ -864,7 +865,7 @@ def test_circle_refuses_a_zero_normal():
      ({"normal": ("0", "0", "1")}, ParseError), ({"normal": (0, 1)}, ParseError),
      ({"normal": (0, 0, 1, 0)}, ParseError), ({"normal": (0, 0, True)}, ParseError),
      ({"normal": (0, 0, 1e-320)}, ParseError), ({"normal": (1e200, 0, 0)}, ParseError)],
-    ids=["n float", "n bool", "n str", "radius str", "radius None", "radius bool",
+    ids=["n float", "n bool", "n str", "n 2", "n 0", "n negative", "radius str", "radius None", "radius bool",
          "radius beyond float", "center str", "center 2", "center 4", "center bool",
          "center None", "center beyond float", "normal str", "normal 2", "normal 4",
          "normal bool", "normal subnormal", "normal overflowing"],
