@@ -21,7 +21,6 @@ Gray-code order, O(r) each, after one pass (see `_straddles`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul, ne
@@ -34,6 +33,7 @@ from typing import (
     get_args,
 )
 
+from ._record import Record
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import (
     DuplicateIndex,
@@ -177,8 +177,7 @@ EVENT_KINDS: tuple[str, ...] = get_args(EventKind)
 TRIPLE_PATTERNS: tuple[str, ...] = get_args(TriplePattern)
 
 
-@dataclass(frozen=True)
-class HomotopyEvent:
+class HomotopyEvent(Record):
     """A codimension-1 event of a regular homotopy of immersions.
 
     ``kind`` is one of ``EVENT_KINDS``.  For indefinite tangencies:
@@ -199,14 +198,19 @@ class HomotopyEvent:
     """
 
     kind: EventKind
-    sign: int = 1
-    index: int | None = None
-    joins_components: bool = False
-    lk00: int = 0
-    lk11: int = 0
-    pattern: TriplePattern | None = None
+    sign: int
+    index: int | None
+    joins_components: bool
+    lk00: int
+    lk11: int
+    pattern: TriplePattern | None
+    __slots__ = _fields = (
+        "kind", "sign", "index", "joins_components", "lk00", "lk11", "pattern")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: EventKind, sign: int = 1, index: int | None = None,
+                 joins_components: bool = False, lk00: int = 0, lk11: int = 0,
+                 pattern: TriplePattern | None = None) -> None:
+        self._set(kind, sign, index, joins_components, lk00, lk11, pattern)
         if self.kind not in EVENT_KINDS:
             raise InconsistentEvent(f"unknown event kind {self.kind!r}")
         index = 0 if self.index is None else self.index

@@ -21,19 +21,22 @@ the pairing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import HaefligerError, LabelMismatch, MalformedToken, NonRealizable
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     """Signed arrow of a Gauss diagram, from over-passage to under-passage."""
 
     label: str
     over: int
     under: int
     sign: int
+    __slots__ = _fields = ("label", "over", "under", "sign")
+
+    def __init__(self, label: str, over: int, under: int, sign: int) -> None:
+        self._set(label, over, under, sign)
 
     def first(self) -> int:
         return min(self.over, self.under)
@@ -42,22 +45,33 @@ class Arrow:
         return max(self.over, self.under)
 
 
-@dataclass(frozen=True)
-class GaussDiagramK:
+class GaussDiagramK(Record):
     """Based Gauss diagram of a planar knot diagram: signed arrows on
-    positions 0..2n-1."""
+    positions 0..2n-1.
+
+    Every entry must be an :class:`Arrow` with a ``str`` label, ``int``
+    endpoints that cover 0..2n-1 and an ``int`` sign of +1 or -1, and the
+    labels must differ (else LabelMismatch); the code must be planar (else
+    NonRealizable).
+    """
 
     arrows: tuple[Arrow, ...]
+    __slots__ = _fields = ("arrows",)
 
     @property
     def n(self) -> int:
         return len(self.arrows)
 
-    def __post_init__(self) -> None:
+    def __init__(self, arrows: tuple[Arrow, ...]) -> None:
+        self._set(arrows)
+        # Types first, so sorting and hashing below cannot fail.
+        for a in arrows:
+            if not (isinstance(a, Arrow) and isinstance(a.label, str)
+                    and type(a.over) is int and type(a.under) is int):
+                raise LabelMismatch(
+                    f"{a!r} is not an Arrow with a str label and int endpoints")
         positions = [p for a in self.arrows for p in (a.over, a.under)]
-        if sorted(positions) != list(range(2 * self.n)) or any(
-            type(p) is not int for p in positions
-        ):
+        if sorted(positions) != list(range(2 * self.n)):
             raise LabelMismatch("arrow endpoints must be the ints 0..2n-1")
         labels = [a.label for a in self.arrows]
         if len(set(labels)) != len(labels):

@@ -12,10 +12,11 @@ All values are immutable; operations return new diagrams.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .errors import AsymmetricEntry, HaefligerError, IndexOutOfRange, ParseError
 
 
@@ -59,8 +60,10 @@ class _Columns(NamedTuple):
     writhe_sum: int
 
 
-@dataclass(frozen=True)
-class CrossingDiagram:
+_EMPTY: Mapping = MappingProxyType({})
+
+
+class CrossingDiagram(Record):
     """Crossing diagram: dimension parameter k, m crossings, linking data.
 
     ``lk`` maps canonically ordered unordered pairs of lifts to integer
@@ -68,6 +71,7 @@ class CrossingDiagram:
     components).  ``writhe`` maps lifts to integer writhes, default 0.
 
     Construction checks every invariant, so every instance is valid:
+    ``lk`` and ``writhe`` are mappings (rows go to :func:`make_diagram`),
     every lift is a :class:`LiftId`, and k, m, every crossing index, level
     and value is exactly an ``int`` (else :class:`ParseError`, as in the
     JSON format; bool is refused);
@@ -85,7 +89,8 @@ class CrossingDiagram:
     its signed value (-1)^(e+f) lk, plus the signed pair sum and the
     total writhe; the calculus reads only these, so a query costs one
     pass over plain int lists (or O(1) for the totals), never a walk of
-    the keyed mapping.
+    the keyed mapping.  The columns are not a field, so equality and
+    repr skip them.
 
     Three routes build a diagram, and each checks every entry once:
 
@@ -107,21 +112,27 @@ class CrossingDiagram:
 
     k: int
     m: int
-    lk: Mapping[PairKey, int] = field(default_factory=dict)
-    writhe: Mapping[LiftId, int] = field(default_factory=dict)
-    _columns: _Columns = field(init=False, compare=False, repr=False)
+    lk: Mapping[PairKey, int]
+    writhe: Mapping[LiftId, int]
+    _columns: _Columns
+    _fields = ("k", "m", "lk", "writhe")
+    __slots__ = (*_fields, "_columns")
 
-    def __post_init__(self) -> None:
-        if type(self.k) is not int or type(self.m) is not int:
-            raise ParseError(f"k and m must be integers, got k={self.k!r}, m={self.m!r}")
-        _check_shape(self.k, self.m)
-        m = self.m
-        lk = {}
-        writhe = {}
+    def __init__(self, k: int, m: int, lk: Mapping[PairKey, int] = _EMPTY,
+                 writhe: Mapping[LiftId, int] = _EMPTY) -> None:
+        if type(k) is not int or type(m) is not int:
+            raise ParseError(f"k and m must be integers, got k={k!r}, m={m!r}")
+        _check_shape(k, m)
+        for name, table in (("lk", lk), ("writhe", writhe)):
+            if not isinstance(table, Mapping):
+                raise ParseError(f"{name} must be a mapping, not {type(table).__name__};"
+                                 " make_diagram builds a diagram from rows")
+        kept_lk = {}
+        kept_writhe = {}
         lower: list[int] = []
         upper: list[int] = []
         signed: list[int] = []
-        for key, value in self.lk.items():
+        for key, value in lk.items():
             try:
                 (i, e), (j, f) = a, b = key
             except (TypeError, ValueError):
@@ -139,18 +150,18 @@ class CrossingDiagram:
                     raise AsymmetricEntry(f"key {key} not in canonical order")
                 raise ParseError(f"lk value for {key} must be an integer, got {value!r}")
             if value:
-                lk[key] = value
+                kept_lk[key] = value
                 lower.append(i)
                 upper.append(j)
                 signed.append(-value if e != f else value)
-        for lift, value in self.writhe.items():
+        for lift, value in writhe.items():
             _check_lift(lift, m)
             if type(value) is not int:
                 raise ParseError(f"writhe of {lift} must be an integer, got {value!r}")
             if value:
-                writhe[lift] = value
-        self._assign(self.k, m, lk, writhe, _Columns(
-            lower, upper, signed, sum(signed), sum(writhe.values())))
+                kept_writhe[lift] = value
+        self._assign(k, m, kept_lk, kept_writhe, _Columns(
+            lower, upper, signed, sum(signed), sum(kept_writhe.values())))
 
     @classmethod
     def _from_checked(cls, k: int, m: int, lk: dict[PairKey, int],
@@ -163,10 +174,7 @@ class CrossingDiagram:
 
     def _assign(self, k: int, m: int, lk: dict[PairKey, int],
                 writhe: dict[LiftId, int], columns: _Columns) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lk", MappingProxyType(lk))
-        object.__setattr__(self, "writhe", MappingProxyType(writhe))
+        self._set(k, m, MappingProxyType(lk), MappingProxyType(writhe))
         object.__setattr__(self, "_columns", columns)
 
     def __reduce__(self):

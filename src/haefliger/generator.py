@@ -12,10 +12,10 @@ solid-torus face embedded standardly in R^3 at three separated sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi, sin, sqrt
 
+from ._record import Record
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import InvalidParams, ParseError
 from .linking import PolyCurve, linking_matrix
@@ -33,8 +33,7 @@ HOPF_PAIRS: tuple[tuple[LiftId, LiftId, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BorromeanParams:
+class BorromeanParams(Record):
     """Radii of the Borromean bidisc spheres; requires 2*beta < alpha.
 
     A radius is any finite number ``Fraction`` takes but a string or a
@@ -43,17 +42,17 @@ class BorromeanParams:
 
     alpha: Fraction
     beta: Fraction
-    k: int = 1
+    k: int
+    __slots__ = _fields = ("alpha", "beta", "k")
 
-    def __post_init__(self) -> None:
-        alpha, beta = _radius("alpha", self.alpha), _radius("beta", self.beta)
-        _check_k(self.k)
+    def __init__(self, alpha: Fraction, beta: Fraction, k: int = 1) -> None:
+        alpha, beta = _radius("alpha", alpha), _radius("beta", beta)
+        _check_k(k)
         if alpha <= 0 or beta <= 0 or 2 * beta >= alpha:
             raise InvalidParams(
                 f"need 0 < 2*beta < alpha, got alpha={alpha}, beta={beta}"
             )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(alpha, beta, k)
 
 
 def _radius(name: str, value) -> Fraction:
@@ -83,13 +82,16 @@ def generator_diagram(k: int) -> CrossingDiagram:
     )
 
 
-@dataclass(frozen=True)
-class LabeledCurve:
+class LabeledCurve(Record):
     """A double point circle with its lift label and ambient sphere."""
 
     lift: LiftId
     sphere: str
     curve: PolyCurve
+    __slots__ = _fields = ("lift", "sphere", "curve")
+
+    def __init__(self, lift: LiftId, sphere: str, curve: PolyCurve) -> None:
+        self._set(lift, sphere, curve)
 
 
 Point2 = tuple[float, float]
@@ -173,8 +175,7 @@ def generator_double_point_curves(
     return out
 
 
-@dataclass(frozen=True)
-class GeneratorReport:
+class GeneratorReport(Record):
     """End-to-end verification of the generator's linking data.
 
     ``linking_matrix`` keys are canonical ``pair_key`` pairs; zeros are left out.
@@ -184,6 +185,13 @@ class GeneratorReport:
     matches_diagram: bool
     h_value: Fraction
     singleton_deltas: dict[int, Fraction]
+    __slots__ = _fields = (
+        "linking_matrix", "matches_diagram", "h_value", "singleton_deltas")
+
+    def __init__(self, linking_matrix: dict[tuple[LiftId, LiftId], int],
+                 matches_diagram: bool, h_value: Fraction,
+                 singleton_deltas: dict[int, Fraction]) -> None:
+        self._set(linking_matrix, matches_diagram, h_value, singleton_deltas)
 
 
 def verify_generator(

@@ -35,7 +35,6 @@ number +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -43,6 +42,7 @@ from math import cos, inf, isfinite, lcm, pi, sin, sqrt
 from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ._record import Record
 from .errors import CurvesIntersect, HaefligerError, InvalidParams, ParseError
 
 if TYPE_CHECKING:
@@ -71,8 +71,7 @@ def _ratio(x) -> tuple[int, int]:
     return int(n), int(d)
 
 
-@dataclass(frozen=True, repr=False)
-class PolyCurve:
+class PolyCurve(Record):
     """Closed oriented polyline; the vertex list is implicitly closed.
 
     Coordinates are held exactly, as one integer grid: the scale D (the lcm
@@ -90,6 +89,8 @@ class PolyCurve:
 
     _scale: int
     _grid: tuple[tuple[int, int, int], ...]
+    _fields = ("_scale", "_grid")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached conversions
 
     def __init__(self, points: Iterable) -> None:
         ratios = []
@@ -122,11 +123,14 @@ class PolyCurve:
         for a, b in zip(grid, grid[1:] + grid[:1]):
             if a == b:
                 raise ParseError("consecutive vertices coincide")
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_grid", grid)
+        self._set(scale, grid)
 
     def __repr__(self) -> str:
         return f"PolyCurve(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        # The constructor takes points, not the grid.
+        return type(self), (self.vertices,)
 
     def __len__(self) -> int:
         return len(self._grid)
@@ -161,8 +165,7 @@ class PolyCurve:
         return floats
 
 
-@dataclass(frozen=True)
-class ProjectionAxis:
+class ProjectionAxis(Record):
     """Unit direction along which curves are projected.
 
     Its integer plane basis is computed on first use and cached outside
@@ -170,6 +173,8 @@ class ProjectionAxis:
     """
 
     direction: Vec3
+    _fields = ("direction",)
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached basis
 
     def __init__(self, direction) -> None:
         d = _to_vec3(direction)
@@ -179,7 +184,7 @@ class ProjectionAxis:
             norm2 = float("inf")
         if abs(sqrt(norm2) - 1.0) > 1e-12:
             raise ParseError(f"axis direction {direction} is not unit length")
-        object.__setattr__(self, "direction", d)
+        self._set(d)
 
     @cached_property
     def _basis(self) -> tuple[tuple[int, int, int], ...]:

@@ -56,6 +56,11 @@ def test_parse_errors():
     for over, sign in ((0.0, 1), (0, 1.0), (0, True)):
         with pytest.raises(LabelMismatch):
             GaussDiagramK((Arrow("1", over, 1, sign),))
+    # Entry types are checked before anything is sorted or hashed.
+    for entry in (Arrow("1", "a", 0, 1), Arrow(["x"], 0, 1, 1), Arrow(1, 0, 1, 1),
+                  ("1", 0, 1, 1)):
+        with pytest.raises(LabelMismatch):
+            GaussDiagramK((entry,))
 
 
 def test_x_pairing_values():

@@ -460,14 +460,15 @@ def test_lk_rejects_coordinates_beyond_float_range(capsys, tmp_path):
     assert "components[0][2]" in capsys.readouterr().err
 
 
-# Runs one CLI call in a fresh interpreter, then reports on stderr
-# whether numpy got loaded.
+# Runs one CLI call in a fresh interpreter, then reports on stderr which
+# of numpy, dataclasses and inspect got loaded, space-separated.
 _PROBE = (
     "import sys\n"
     "from haefliger.cli import run\n"
     "code = run(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
-    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "print(*(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules),\n"
+    "      file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -478,7 +479,7 @@ def _run_in_fresh_process(*argv):
         [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True,
         text=True, timeout=120,
     )
-    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1] == "True"
+    return proc.returncode, proc.stdout, set(proc.stderr.splitlines()[-1].split())
 
 
 def test_exact_commands_never_load_numpy(capsys, tmp_path):
@@ -495,12 +496,14 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path):
     ]
     for argv in commands:
         argv = ["--format", "json", *argv]
-        code, out, numpy_loaded = _run_in_fresh_process(*argv)
+        code, out, loaded = _run_in_fresh_process(*argv)
         assert code == 0, argv
         assert (code, out) == run_cli(capsys, *argv), argv
-        assert not numpy_loaded, argv
-    # The probe does see numpy when a float command loads it.
-    assert _run_in_fresh_process("lk", write_hopf(tmp_path)) == (0, "lk: 1\n", True)
+        assert not loaded, (argv, loaded)
+    # The probe does see numpy when a float command loads it; numpy
+    # imports inspect itself, but nothing loads dataclasses.
+    code, out, loaded = _run_in_fresh_process("lk", write_hopf(tmp_path))
+    assert (code, out, loaded - {"inspect"}) == (0, "lk: 1\n", {"numpy"})
 
 
 # Runs one CLI call in a fresh interpreter, then reports on stderr the

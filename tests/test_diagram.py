@@ -122,6 +122,9 @@ L = LiftId
         ({"lk": {(L(1, False), L(2, 0)): 1}}, ParseError),
         ({"writhe": {L(1.0, 0): 1}}, ParseError),
         ({"writhe": {L(1, True): 1}}, ParseError),
+        ({"lk": None}, ParseError),
+        ({"lk": [(L(1, 0), L(2, 0), 1)]}, ParseError),
+        ({"writhe": [(L(1, 0), 1)]}, ParseError),
     ],
     ids=["k=0", "m=-1", "crossing>m", "crossing=0", "level=2", "level=-1",
          "same crossing level=2", "writhe crossing>m", "writhe level=2",
@@ -130,7 +133,8 @@ L = LiftId
          "writhe float", "writhe bool",
          "k, m float", "k float", "k bool", "m float",
          "lift float and bool", "crossing float", "level float", "level bool",
-         "writhe crossing float", "writhe level bool"],
+         "writhe crossing float", "writhe level bool",
+         "lk None", "lk rows", "writhe rows"],
 )
 def test_construction_checks_every_invariant(fields, error):
     with pytest.raises(error):

@@ -96,6 +96,22 @@ def test_numpy_import_rule_sees_every_import_form():
     assert module_level_numpy_imports(ast.parse(allowed)) == []
 
 
+def test_library_never_imports_dataclasses():
+    # dataclasses loads inspect, which costs every CLI call more than its
+    # own work; the records share haefliger._record instead.  Imports
+    # inside functions count too, since a command would still pay them.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert SOURCES and found == []
+
+
 def test_exit_codes_map_exactly_the_errors_the_library_raises():
     # An error class only the tests raise, or one without its own exit
     # code, fails here; codes 7, 9 and 13 are retired and are not reused.
