@@ -7,7 +7,7 @@ constructs the explicit six-crossing generator, and computes the
 classical order-2 knot invariant the calculus generalizes.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -69,12 +69,14 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = import_module(f".{name}", __name__)
-    else:
+    module = _EXPORTS.get(name, name)
+    if module not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, is seen by -X importtime.
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name in _EXPORTS:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 

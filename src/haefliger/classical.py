@@ -21,6 +21,7 @@ the pairing.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from ._record import Record
 from .errors import HaefligerError, LabelMismatch, MalformedToken, NonRealizable
@@ -49,10 +50,11 @@ class GaussDiagramK(Record):
     """Based Gauss diagram of a planar knot diagram: signed arrows on
     positions 0..2n-1.
 
-    Every entry must be an :class:`Arrow` with a ``str`` label, ``int``
-    endpoints that cover 0..2n-1 and an ``int`` sign of +1 or -1, and the
-    labels must differ (else LabelMismatch); the code must be planar (else
-    NonRealizable).
+    ``arrows`` may be any iterable and is stored as a tuple.  Every entry
+    must be an :class:`Arrow` with a ``str`` label, ``int`` endpoints that
+    cover 0..2n-1 and an ``int`` sign of +1 or -1, and the labels must
+    differ (else LabelMismatch, also for a non-iterable); the code must be
+    planar (else NonRealizable).
     """
 
     arrows: tuple[Arrow, ...]
@@ -62,7 +64,11 @@ class GaussDiagramK(Record):
     def n(self) -> int:
         return len(self.arrows)
 
-    def __init__(self, arrows: tuple[Arrow, ...]) -> None:
+    def __init__(self, arrows: Iterable[Arrow]) -> None:
+        try:
+            arrows = tuple(arrows)
+        except TypeError:
+            raise LabelMismatch(f"arrows must be an iterable of Arrows, not {arrows!r}") from None
         self._set(arrows)
         # Types first, so sorting and hashing below cannot fail.
         for a in arrows:
@@ -143,7 +149,7 @@ def parse_gauss_code(code: str) -> GaussDiagramK:
             Arrow(label=label, over=entry["O"], under=entry["U"], sign=entry["sign"])
         )
     arrows.sort(key=Arrow.first)
-    return GaussDiagramK(tuple(arrows))
+    return GaussDiagramK(arrows)
 
 
 def _interleaved(a: Arrow, b: Arrow) -> bool:
@@ -181,7 +187,7 @@ def switch(diagram: GaussDiagramK, labels: set[str]) -> GaussDiagramK:
         Arrow(a.label, a.under, a.over, -a.sign) if a.label in labels else a
         for a in diagram.arrows
     )
-    return GaussDiagramK(tuple(sorted(arrows, key=Arrow.first)))
+    return GaussDiagramK(sorted(arrows, key=Arrow.first))
 
 
 def rotate_basepoint(diagram: GaussDiagramK, shift: int) -> GaussDiagramK:
@@ -193,7 +199,7 @@ def rotate_basepoint(diagram: GaussDiagramK, shift: int) -> GaussDiagramK:
         Arrow(a.label, (a.over - shift) % size, (a.under - shift) % size, a.sign)
         for a in diagram.arrows
     )
-    return GaussDiagramK(tuple(sorted(arrows, key=Arrow.first)))
+    return GaussDiagramK(sorted(arrows, key=Arrow.first))
 
 
 def v2(diagram: GaussDiagramK) -> int:

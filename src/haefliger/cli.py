@@ -6,8 +6,11 @@ JSON mode), never floats.  Output is deterministic: keys sorted, fixed
 formatting.
 
 Each command imports the library modules it runs when it runs, so a call
-loads only those: ``v2`` never loads the linking engine, and the exact
-commands never load numpy.
+loads only those: ``v2`` loads ``classical`` alone, ``lk`` and ``writhe``
+load ``linking`` alone, and the exact commands never load numpy.  Nor do
+the curve commands on a small file: ``linking`` finds the candidate
+segment pairs of a call of at most 1024 of them without numpy, since
+importing numpy costs a fresh process far more than such a call.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# The e-jump parser's choices come from calculus, which imports diagram.
-from . import calculus, diagram
 from .errors import (
     AsymmetricEntry,
     CurvesIntersect,
@@ -37,6 +38,11 @@ from .errors import (
 
 if TYPE_CHECKING:
     from . import linking
+
+# calculus.EVENT_KINDS and calculus.TRIPLE_PATTERNS, spelled out so that
+# building the parser loads neither calculus nor diagram.
+_EVENT_KINDS = ("definite_tangency", "indefinite_tangency", "triple_point")
+_TRIPLE_PATTERNS = ("all_distinct", "i_eq_j", "p_eq_i", "j_eq_p", "all_equal")
 
 # Codes 7, 9 and 13 are retired: scripts written against them may still test
 # for them, so they are never reused.
@@ -183,6 +189,8 @@ def _cmd_writhe(args) -> dict:
 
 
 def _cmd_delta_h(args) -> dict:
+    from . import calculus, diagram
+
     d = diagram.diagram_from_dict(_load_json(args.diagram))
     switched = set(_indices(args.switch))
     value = calculus.delta_h_reduced(d, switched)
@@ -193,6 +201,8 @@ def _cmd_delta_h(args) -> dict:
 
 
 def _cmd_vfinite(args) -> dict:
+    from . import calculus, diagram
+
     d = diagram.diagram_from_dict(_load_json(args.diagram))
     indices = _indices(args.indices)
     h0 = _fraction(args.h0)
@@ -207,6 +217,8 @@ def _cmd_vfinite(args) -> dict:
 
 
 def _cmd_e_jump(args) -> dict:
+    from . import calculus
+
     event = calculus.HomotopyEvent(
         kind=args.kind,
         sign=args.sign,
@@ -220,7 +232,7 @@ def _cmd_e_jump(args) -> dict:
 
 
 def _cmd_generator(args) -> dict:
-    from . import generator, linking
+    from . import diagram, generator, linking
 
     result: dict = {
         "diagram": diagram.diagram_to_dict(generator.generator_diagram(args.k))
@@ -254,10 +266,14 @@ def _cmd_v2(args) -> dict:
 
 
 def _cmd_jacobian(args) -> dict:
+    from . import calculus
+
     return {"det": calculus.jacobian_det(args.k)}
 
 
 def _cmd_murai_ohba(args) -> dict:
+    from . import calculus, diagram
+
     l0, l1 = _two_curves(args.curves)
     d, switched, delta = calculus.murai_ohba_certificate(l0, l1, _axis(args.axis))
     return {
@@ -306,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_vfinite)
 
     p = sub.add_parser("e-jump", help="jump of the immersion invariant at an event")
-    p.add_argument("--kind", required=True, choices=calculus.EVENT_KINDS)
+    p.add_argument("--kind", required=True, choices=_EVENT_KINDS)
     p.add_argument("--k", type=_integer, default=1)
     p.add_argument("--sign", type=_integer, default=1, choices=(1, -1))
     p.add_argument("--index", type=_integer, help="index of the quadratic form")
@@ -314,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the deformation joins two components")
     p.add_argument("--lk00", type=_integer, default=0)
     p.add_argument("--lk11", type=_integer, default=0)
-    p.add_argument("--pattern", choices=calculus.TRIPLE_PATTERNS)
+    p.add_argument("--pattern", choices=_TRIPLE_PATTERNS)
     p.set_defaults(func=_cmd_e_jump)
 
     p = sub.add_parser("generator", help="emit the six-crossing generator data")

@@ -10,13 +10,23 @@ test suite:
   double integral, floating point.
 
 Both refuse curves that meet (CurvesIntersect); the crossing predicate
-decides it exactly on the pairs the projected sweep finds, since segments
-that meet in R^3 meet in projection too.  The exact predicates are
-division-free and run on one integer grid for all curves of a call (the
-lcm of their denominators; a power of two for float input).  A curve
-stores its vertices as such a grid, built once when it is constructed;
-its ``Fraction`` vertices and its float array are made on first use.
-Floats only serve a box prefilter, one sort-and-sweep over the
+decides it exactly on the candidate pairs whose projected boxes touch,
+since segments that meet in R^3 meet in projection too.  The exact
+predicates are division-free and run on one integer grid for all curves
+of a call (the lcm of their denominators; a power of two for float
+input).  A curve stores its vertices as such a grid, built once when it
+is constructed; its ``Fraction`` vertices and its float array are made on
+first use.
+
+The candidates come from one of two finders, which keep the same pairs
+that touch and so give the same results.  A call that compares at most
+``_DENSE_PAIRS`` = 1024 segment pairs (n*m for two curves, the sum of
+n_i*n_j over the pairs of a set, n(n-1)/2 for a writhe) compares every
+pair's integer projected boxes, in pure Python with no float and no
+margin.  The bound is there because importing numpy costs a fresh process
+about 100 ms, far more than such a call takes either way, while above it
+the dense comparison soon costs more than numpy's sweep.  A larger call
+uses floats only in a box prefilter, one numpy sort-and-sweep over the
 projections of every segment of the set.
 
 ``writhe_pl`` counts a curve's own crossings with the same predicate along
@@ -25,7 +35,8 @@ the same tilted axis, so no projection is refused anywhere.
 numpy is imported only inside the five float functions: ``_array``,
 ``_project``, ``_box_pairs``, ``_resample`` and
 ``gauss_linking_quadrature``.  Building and writing curves needs none of
-it, so ``import haefliger`` and the pure-arithmetic commands never load it.
+it, so ``import haefliger``, the pure-arithmetic commands and the linking
+numbers and writhes of small curves never load it.
 
 Crossing sign convention: the sign of a crossing is the orientation of
 the frame (over-strand tangent, under-strand tangent, projection axis),
@@ -37,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import cos, inf, isfinite, lcm, pi, sin, sqrt
 from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -52,6 +63,10 @@ Vec3 = tuple[Fraction, Fraction, Fraction]
 Segment = tuple[Vec3, Vec3]
 
 _MEET = "curves meet in R^3; not a valid link"
+
+# The most segment pairs a call compares without numpy (see the module
+# docstring).
+_DENSE_PAIRS = 1024
 
 
 def _to_vec3(point) -> Vec3:
@@ -346,19 +361,66 @@ def _box_pairs(arrays: Sequence[np.ndarray], basis) -> list[tuple[int, int]]:
     return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
+def _touching_pairs(
+    segs: Sequence[Segment], sizes: Sequence[int], basis
+) -> list[tuple[int, int]]:
+    """Pairs a < b of segments whose exact projected boxes touch, on
+    distinct polylines of the given sizes (or, given one size, on it),
+    numbered through ``segs`` in order, as ``_box_pairs`` numbers them.
+
+    Every pair is compared.  A box spans u.p and v.p over the segment's
+    two ends, in integers on the call's one grid, so no margin is needed.
+    """
+    (u0, u1, u2), (v0, v1, v2) = basis[:2]
+    boxes, firsts = [], []  # firsts: the first segment each one is compared with
+    for end, size in zip(accumulate(sizes), sizes):
+        ring = [(u0 * x + u1 * y + u2 * z, v0 * x + v1 * y + v2 * z)
+                for (x, y, z), _ in segs[end - size:end]]
+        for (a, c), (b, d) in zip(ring, ring[1:] + ring[:1]):
+            if b < a:
+                a, b = b, a
+            if d < c:
+                c, d = d, c
+            boxes.append((a, b, c, d))
+            firsts.append(len(boxes) if len(sizes) == 1 else end)
+    pairs = []
+    for a, ((lu, hu, lv, hv), first) in enumerate(zip(boxes, firsts)):
+        pairs += [
+            (a, b) for b, (bu, cu, bv, cv) in enumerate(boxes[first:], first)
+            if bu <= hu and lu <= cu and bv <= hv and lv <= cv
+        ]
+    return pairs
+
+
+def _candidates(
+    curves: Sequence[PolyCurve], segs: Sequence[Segment], basis
+) -> list[tuple[int, int]]:
+    """The segment pairs for the crossing predicate: ``_touching_pairs``
+    for a call of at most ``_DENSE_PAIRS`` pairs, else ``_box_pairs``."""
+    sizes = [len(c) for c in curves]
+    if len(sizes) == 1:
+        count = sizes[0] * (sizes[0] - 1) // 2
+    else:
+        count = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
+    if count <= _DENSE_PAIRS:
+        return _touching_pairs(segs, sizes, basis)
+    return _box_pairs([c.as_array() for c in curves], basis)
+
+
 def linking_matrix(
     curves: Sequence[PolyCurve], axis: ProjectionAxis = EZ
 ) -> dict[tuple[int, int], int]:
     """Linking number of every pair i < j of the curves, keyed ``(i, j)``.
 
-    A linking number is half the signed crossing count of its pair.  One
-    box sweep over the projections of all segments picks the segment pairs
-    for the exact crossing predicate, which runs on one integer grid for
-    the set and raises CurvesIntersect if any two curves meet: segments
-    that meet in R^3 meet in projection, and the sweep's margin, taken
-    from the 3D coordinates, covers the float error of projecting them, so
-    no meeting pair escapes the sweep.  Each curve holds its integer grid
-    from construction and converts it to floats once, ever.
+    A linking number is half the signed crossing count of its pair.  The
+    projected boxes of all segments pick the segment pairs for the exact
+    crossing predicate, which runs on one integer grid for the set and
+    raises CurvesIntersect if any two curves meet: segments that meet in
+    R^3 meet in projection, the dense finder compares exact boxes, and the
+    sweep's margin, taken from the 3D coordinates, covers the float error
+    of projecting them, so no meeting pair escapes either finder.  Each
+    curve holds its integer grid from construction and converts it to
+    floats once, ever, the first time a call is large enough to sweep.
     """
     if len(curves) < 2:
         return {}
@@ -366,7 +428,7 @@ def linking_matrix(
     basis = axis._basis
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
-    for a, b in _box_pairs([c.as_array() for c in curves], basis):
+    for a, b in _candidates(curves, segs, basis):
         totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis)
     if any(total % 2 for total in totals.values()):
         raise HaefligerError("odd signed crossing count of two closed curves")
@@ -397,7 +459,7 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
             raise CurvesIntersect("a curve folds back along an edge")
     total = 0
     try:
-        for i, j in _box_pairs([curve.as_array()], basis):
+        for i, j in _candidates([curve], segs, basis):
             if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
                 total += _segment_crossings(segs[i], segs[j], basis)
     except CurvesIntersect:

@@ -11,6 +11,7 @@ only their exact 3D disjointness tests are the library's.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -305,3 +306,35 @@ def dense_box_pairs(pts1, pts2, basis):
     lo2, hi2 = ends2.min(axis=0)[None], ends2.max(axis=0)[None]
     overlap = ((lo1 <= hi2 + margin) & (lo2 <= hi1 + margin)).all(axis=2)
     return {(int(i), int(j)) for i, j in np.argwhere(overlap)}
+
+
+def exact_box_pairs(curves, basis):
+    """Pairs a < b of segments, numbered through the curves in order, whose
+    projected boxes touch, from the Fraction vertices: on distinct curves,
+    or, given one curve, on it.  A box spans the ends' dot products with
+    the plane vectors basis[0] and basis[1]."""
+    boxes, owner = [], []
+    for k, curve in enumerate(curves):
+        vs = curve.vertices
+        for p, q in zip(vs, vs[1:] + vs[:1]):
+            box = []
+            for vec in basis[:2]:
+                s, t = (sum(Fraction(a) * x for a, x in zip(vec, end)) for end in (p, q))
+                box.append((min(s, t), max(s, t)))
+            boxes.append(box)
+            owner.append(k)
+    return {
+        (a, b) for a, b in combinations(range(len(boxes)), 2)
+        if (len(curves) == 1 or owner[a] != owner[b])
+        and all(lo1 <= hi2 and lo2 <= hi1
+                for (lo1, hi1), (lo2, hi2) in zip(boxes[a], boxes[b]))
+    }
+
+
+def subdivided(curve):
+    """The curve with every edge split at its exact midpoint."""
+    vs = curve.vertices
+    points = []
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        points += [p, tuple((x + y) / 2 for x, y in zip(p, q))]
+    return PolyCurve(points)

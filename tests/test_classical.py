@@ -63,6 +63,18 @@ def test_parse_errors():
             GaussDiagramK((entry,))
 
 
+def test_arrows_are_stored_as_a_tuple_from_any_iterable():
+    g = parse_gauss_code(TREFOIL)
+    for arrows in (list(g.arrows), iter(g.arrows), (a for a in g.arrows)):
+        built = GaussDiagramK(arrows)
+        assert type(built.arrows) is tuple
+        assert built == g and hash(built) == hash(g)
+        assert v2(built) == v2(g)
+    for bad in (None, 3, Arrow("1", 0, 1, 1)):
+        with pytest.raises(LabelMismatch, match="iterable"):
+            GaussDiagramK(bad)
+
+
 def test_x_pairing_values():
     assert x_pairing(parse_gauss_code("")) == 0
     assert x_pairing(parse_gauss_code("O1+U1+")) == 0

@@ -23,9 +23,9 @@ def run_cli(capsys, *args):
     return code, out
 
 
-def write_hopf(tmp_path):
-    path = tmp_path / "hopf.json"
-    path.write_text(json.dumps(curves_to_dict(list(hopf_link()))))
+def write_hopf(tmp_path, n_vertices=48):
+    path = tmp_path / f"hopf{n_vertices}.json"
+    path.write_text(json.dumps(curves_to_dict(list(hopf_link(n_vertices)))))
     return str(path)
 
 
@@ -484,6 +484,9 @@ def _run_in_fresh_process(*argv):
 
 def test_exact_commands_never_load_numpy(capsys, tmp_path):
     gen = write_generator_diagram(tmp_path)
+    # 32 + 32 vertices is 1024 segment pairs, the most linking compares
+    # without numpy; a writhe of 32 vertices is 496.
+    small = write_hopf(tmp_path, 32)
     commands = [
         ["v2", "O1+U2+O3+U1+O2+U3+", "--verbose"],
         ["jacobian", "--k", "2"],
@@ -493,6 +496,10 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path):
         ["vfinite", gen, "--indices", "1,2,3", "--verbose", "--h0", "5/3"],
         ["generator", "--k", "1"],
         ["generator", "--k", "1", "--curves"],
+        ["lk", small],
+        ["lk", small, "--axis", "0.6,0,0.8"],
+        ["writhe", small],
+        ["murai-ohba", small],
     ]
     for argv in commands:
         argv = ["--format", "json", *argv]
@@ -500,10 +507,13 @@ def test_exact_commands_never_load_numpy(capsys, tmp_path):
         assert code == 0, argv
         assert (code, out) == run_cli(capsys, *argv), argv
         assert not loaded, (argv, loaded)
-    # The probe does see numpy when a float command loads it; numpy
+    # The probe does see numpy when a larger call sweeps with it; numpy
     # imports inspect itself, but nothing loads dataclasses.
-    code, out, loaded = _run_in_fresh_process("lk", write_hopf(tmp_path))
-    assert (code, out, loaded - {"inspect"}) == (0, "lk: 1\n", {"numpy"})
+    for argv in (["lk", write_hopf(tmp_path, 33)], ["lk", write_hopf(tmp_path, 64)],
+                 ["writhe", write_hopf(tmp_path, 46)]):
+        code, out, loaded = _run_in_fresh_process(*argv)
+        assert (code, loaded - {"inspect"}) == (0, {"numpy"}), argv
+        assert (code, out) == run_cli(capsys, *argv), argv
 
 
 # Runs one CLI call in a fresh interpreter, then reports on stderr the
@@ -522,21 +532,21 @@ _MODULES_PROBE = (
 def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path):
     gen = write_generator_diagram(tmp_path)
     hopf = write_hopf(tmp_path)
-    geometric = {"linking", "generator"}
+    base = {"cli", "errors", "_record"}
+    exact = base | {"calculus", "diagram"}
     commands = [
-        (["v2", "O1+U2+O3+U1+O2+U3+", "--verbose"], geometric),
-        (["jacobian", "--k", "2"], geometric | {"classical"}),
-        (["e-jump", "--kind", "triple_point", "--pattern", "all_distinct"],
-         geometric | {"classical"}),
-        (["delta-h", gen, "--switch", "1,2"], geometric | {"classical"}),
-        (["vfinite", gen, "--indices", "1,2,3", "--verbose"], geometric | {"classical"}),
-        (["lk", hopf], {"classical", "generator"}),
-        (["writhe", hopf], {"classical", "generator"}),
-        (["murai-ohba", hopf], {"classical", "generator"}),
-        (["generator", "--k", "1"], {"classical"}),
+        (["v2", "O1+U2+O3+U1+O2+U3+", "--verbose"], base | {"classical"}),
+        (["jacobian", "--k", "2"], exact),
+        (["e-jump", "--kind", "triple_point", "--pattern", "all_distinct"], exact),
+        (["delta-h", gen, "--switch", "1,2"], exact),
+        (["vfinite", gen, "--indices", "1,2,3", "--verbose"], exact),
+        (["lk", hopf], base | {"linking"}),
+        (["writhe", hopf], base | {"linking"}),
+        (["murai-ohba", hopf], exact | {"linking"}),
+        (["generator", "--k", "1"], exact | {"linking", "generator"}),
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    for argv, never in commands:
+    for argv, modules in commands:
         argv = ["--format", "json", *argv]
         proc = subprocess.run(
             [sys.executable, "-c", _MODULES_PROBE, *argv], env=env,
@@ -545,8 +555,27 @@ def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path):
         loaded = set(json.loads(proc.stderr.splitlines()[-1]))
         assert proc.returncode == 0, argv
         assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv), argv
-        assert {"cli", "calculus", "diagram", "errors"} <= loaded, argv
-        assert not loaded & never, (argv, loaded)
+        assert loaded == modules, argv
+
+
+def test_e_jump_choices_are_the_calculus_event_kinds_and_patterns(capsys):
+    # The parser spells them out so that building it loads no calculus.
+    assert cli._EVENT_KINDS == calculus.EVENT_KINDS
+    assert cli._TRIPLE_PATTERNS == calculus.TRIPLE_PATTERNS
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["e-jump", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "{" + ",".join(calculus.EVENT_KINDS) + "}" in help_text
+    assert "{" + ",".join(calculus.TRIPLE_PATTERNS) + "}" in help_text
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["e-jump", "--kind", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    # argparse lists the choices by repr or, in later versions, by str.
+    listed = [", ".join(map(form, calculus.EVENT_KINDS)) for form in (repr, str)]
+    assert any(f"(choose from {choices})" in err for choices in listed)
 
 
 def test_lk_quadrature_count_must_not_be_negative(capsys, tmp_path):

@@ -14,11 +14,14 @@ from haefliger.linking import (
     EZ,
     PolyCurve,
     ProjectionAxis,
+    _DENSE_PAIRS,
     _box_pairs,
+    _on_one_grid,
     _plane_basis,
     _segment_crossings,
     _segments_meet,
     _to_vec3,
+    _touching_pairs,
     circle,
     curves_from_dict,
     curves_to_dict,
@@ -35,11 +38,13 @@ from helpers import (
     crossing_sign_oracle,
     curve_segments,
     dense_box_pairs,
+    exact_box_pairs,
     hopf_link,
     naive_linking_oracle,
     plane_basis_oracle,
     random_link,
     random_loop,
+    subdivided,
     torus_link_curves,
     trefoil_curve,
 )
@@ -578,16 +583,112 @@ def test_box_sweep_margin_follows_the_3d_coordinates():
         # Two triangles meeting at p: a vertex of one, the midpoint of an
         # edge of the other.
         p, a, b, c, d = (point() for _ in range(5))
-        m = PolyCurve([p, a, b])
-        n = PolyCurve([c, tuple(2 * x - y for x, y in zip(p, c)), d])
+        m = PolyCurve([p, a, b]).translated(far)
+        n = PolyCurve([c, tuple(2 * x - y for x, y in zip(p, c)), d]).translated(far)
         with pytest.raises(CurvesIntersect):
-            linking_matrix([m.translated(far), n.translated(far)], axis)
+            linking_matrix([m, n], axis)
+        # A call this small compares exact boxes; the sweep, which larger
+        # calls use, keeps the meeting pair too.
+        assert exact_box_pairs([m, n], axis._basis) <= set(
+            _box_pairs([m.as_array(), n.as_array()], axis._basis))
     # A Hopf pair of squares 2000 wide keeps its value out there.
     m = PolyCurve([(-1000, -1000, 0), (1000, -1000, 0), (1000, 1000, 0), (-1000, 1000, 0)])
     n = PolyCurve([(0, -500, -1000), (0, 2000, -1000), (0, 2000, 1000), (0, -500, 1000)])
     for _ in range(20):
         offset = tuple(f + gen.randint(-3000, 3000) for f in far)
         assert linking_number_pl(m.translated(offset), n.translated(offset), axis) == -1
+
+
+# --- the dense finder --------------------------------------------------------
+
+
+def assert_dense_finder_is_exact(curves, basis):
+    """The dense finder keeps exactly the pairs whose exact projected boxes
+    touch, and the sweep keeps every one of them too."""
+    pairs = _touching_pairs(_on_one_grid(curves), [len(c) for c in curves], basis)
+    reference = exact_box_pairs(curves, basis)
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == reference
+    assert reference <= set(_box_pairs([c.as_array() for c in curves], basis))
+
+
+def test_dense_finder_keeps_exactly_the_touching_boxes_of_random_curves(rng):
+    for _ in range(8):
+        curves = [
+            PolyCurve([tuple(p) for p in random_loop(rng, int(rng.integers(3, 16)))
+                       + rng.normal(scale=2, size=3)])
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        for axis in SWEEP_AXES:
+            assert_dense_finder_is_exact(curves, axis._basis)
+            for c in curves:
+                assert_dense_finder_is_exact([c], axis._basis)
+
+
+def test_dense_finder_keeps_exactly_the_touching_boxes_of_lattice_squares():
+    # Squares that share edges and corners, a post whose vertical edges
+    # project to points along EZ, and a curve off the dyadic grid that
+    # lies along the first square's top edge.
+    squares = [
+        PolyCurve([(x, y, 0), (x + 1, y, 0), (x + 1, y + 1, 0), (x, y + 1, 0)])
+        for x, y in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (5, 0)]
+    ]
+    post = PolyCurve([(1, 1, 0), (1, 1, 2), (3, 1, 2), (3, 1, 0)])
+    third = Fraction(1, 3)
+    thirds = PolyCurve([(third, 1, 0), (2 * third, 1, 0), (2 * third, 2, 1)])
+    merged = PolyCurve([p for square in squares for p in square.vertices])
+    for axis in SWEEP_AXES:
+        assert_dense_finder_is_exact([*squares, post, thirds], axis._basis)
+        assert_dense_finder_is_exact([merged], axis._basis)
+
+
+def finer_than_the_bound(curves):
+    """The curves subdivided until a call on them compares more than
+    ``_DENSE_PAIRS`` segment pairs, so it sweeps."""
+    def pairs(sizes):
+        if len(sizes) == 1:
+            return sizes[0] * (sizes[0] - 1) // 2
+        return sum(a * b for a, b in combinations(sizes, 2))
+
+    assert pairs([len(c) for c in curves]) <= _DENSE_PAIRS
+    while pairs([len(c) for c in curves]) <= _DENSE_PAIRS:
+        curves = [subdivided(c) for c in curves]
+    return curves
+
+
+def test_subdividing_past_the_dense_bound_keeps_lk_and_writhe():
+    # Exact midpoints leave every curve the same point set, so each value
+    # and each refusal stays while the call moves to the sweep.
+    gen = random.Random(20)
+    for _ in range(30):
+        m, n = lattice_polygon(gen), lattice_polygon(gen)
+        fine_m, fine_n = finer_than_the_bound([m, n])
+        for axis in SWEEP_AXES:
+            assert (outcome(linking_number_pl, fine_m, fine_n, axis)
+                    == outcome(linking_number_pl, m, n, axis))
+    knots = [trefoil_curve(40), lattice_polygon(gen), lattice_polygon(gen),
+             PolyCurve([(-1, -1, -1), (0, 1, 0), (1, -2, -2), (2, -1, -2), (0, -1, 2),
+                        (0, -1, 0)]),
+             PolyCurve([(0, 0, 0), (4, 0, 0), (4, 4, 0), (2, 0, 1)])]
+    for knot in knots:
+        [fine] = finer_than_the_bound([knot])
+        for axis in SWEEP_AXES:
+            assert outcome(writhe_pl, fine, axis) == outcome(writhe_pl, knot, axis)
+
+
+def test_curves_that_meet_are_refused_at_the_dense_bound():
+    # 32 + 32 vertices: the most pairs the dense finder takes.  The edge
+    # x = 8, y = 4 of the second square crosses the first one's edge x = 8.
+    m = PolyCurve([(0, 0, 0), (8, 0, 0), (8, 8, 0), (0, 8, 0)])
+    n = PolyCurve([(8, 4, -4), (12, 4, -4), (12, 4, 4), (8, 4, 4)])
+    for _ in range(3):
+        m, n = subdivided(m), subdivided(n)
+    assert len(m) * len(n) == _DENSE_PAIRS
+    for axis in SWEEP_AXES:
+        with pytest.raises(CurvesIntersect):
+            linking_number_pl(m, n, axis)
+        assert linking_number_pl(m, n.translated((1, 0, 0)), axis) == 0
+        assert abs(linking_number_pl(m, n.translated((-2, 0, 0)), axis)) == 1
 
 
 # --- the integer kernel -----------------------------------------------------

@@ -48,3 +48,16 @@ def test_star_import_binds_exactly_all():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(haefliger.__all__)
     assert set(haefliger.__all__) <= set(dir(haefliger))
     assert "__version__" in dir(haefliger)
+
+
+def test_lazy_submodules_are_seen_by_importtime():
+    # -X importtime reports an import made through __import__, not one
+    # made through importlib.import_module.
+    probe = "import haefliger\nhaefliger.classical\nhaefliger.v2\nhaefliger.calculus\n"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"haefliger.classical", "haefliger.calculus", "haefliger.diagram"} <= imported
