@@ -1,10 +1,11 @@
 """End-to-end verification of the generator's double point geometry.
 
 Realizes the twelve double point circles of the six-crossing generator
-as explicit polylines and computes all 66 pairwise linking numbers with
-one ``linking_matrix`` call.  The diagram they build must equal the
-six-crossing diagram (exactly the six Hopf pairs survive), and the
-invariant printed is read from that built diagram, not from a stored one.
+as explicit polylines on integer vertices and computes all 66 pairwise
+linking numbers with one ``linking_matrix`` call.  The diagram they build
+must equal the six-crossing diagram (exactly the six Hopf pairs survive),
+and the invariant printed is read from that built diagram, not from a
+stored one.
 """
 
 from haefliger import BorromeanParams, generator_double_point_curves, verify_generator
@@ -15,7 +16,7 @@ print("parameters:", params)
 curves = generator_double_point_curves(params, n=64)
 print("\ntwelve labeled double point circles:")
 for entry in curves:
-    first = tuple(round(float(x), 2) for x in entry.curve.vertices[0])
+    first = "(" + ", ".join(map(str, entry.curve.vertices[0])) + ")"
     print(f"  L{entry.lift.crossing}^{entry.lift.level} in sphere "
           f"{entry.sphere}, first vertex {first}")
 

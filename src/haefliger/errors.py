@@ -12,7 +12,8 @@ class HaefligerError(Exception):
 
 
 class IndexOutOfRange(HaefligerError):
-    """A crossing index references a crossing outside 1..m."""
+    """An index or size outside its range: a crossing index outside 1..m,
+    a crossing count m < 0 or a dimension parameter k < 1."""
 
 
 class AsymmetricEntry(HaefligerError):

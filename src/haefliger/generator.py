@@ -6,20 +6,22 @@ has six crossings whose double point sets pair up into six Hopf links,
 two inside each sphere.  ``generator_diagram`` returns that shadow for
 any dimension parameter k (the combinatorics is k-independent);
 ``generator_double_point_curves`` realizes the twelve double point
-circles as explicit polylines for k = 1, with each sphere's relevant
-solid-torus face embedded standardly in R^3 at three separated sites.
+circles as explicit polylines for k = 1: in each of three spheres, set
+apart along x, two fibers of a solid torus, drawn as squares around the
+z axis, and two cross-sections, drawn as small squares in meridian
+planes.  Every vertex has int coordinates, so the circles are exactly
+planar and their linking numbers and writhes are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, pi, sin, sqrt
 
 from ._record import Record
 from .diagram import CrossingDiagram, LiftId, make_diagram
 from .errors import InvalidParams, ParseError
 from .linking import PolyCurve, linking_matrix
-from .calculus import delta_h_reduced
+from .calculus import _check_k, delta_h_reduced
 
 # The six Hopf-linked pairs of double point components, grouped by the
 # sphere containing them.
@@ -37,7 +39,7 @@ class BorromeanParams(Record):
     """Radii of the Borromean bidisc spheres; requires 2*beta < alpha.
 
     A radius is any finite number ``Fraction`` takes but a string or a
-    bool, and k an int >= 1 (else ParseError, or InvalidParams for k < 1).
+    bool, and k an int >= 1 (else ParseError, or IndexOutOfRange for k < 1).
     """
 
     alpha: Fraction
@@ -64,13 +66,6 @@ def _radius(name: str, value) -> Fraction:
     raise ParseError(f"{name} must be a finite number, not {value!r}")
 
 
-def _check_k(k) -> None:
-    if type(k) is not int:
-        raise ParseError(f"k must be an int, not {k!r}")
-    if k < 1:
-        raise InvalidParams("k must be a positive integer")
-
-
 DEFAULT_PARAMS = BorromeanParams(alpha=4, beta=1, k=1)
 
 
@@ -94,33 +89,14 @@ class LabeledCurve(Record):
         self._set(lift, sphere, curve)
 
 
-Point2 = tuple[float, float]
-
-
-def _torus_embed(
-    face: list[tuple[float, Point2]], ring_radius: float,
-    offset: tuple[float, float, float],
-) -> PolyCurve:
-    """Embed face coordinates (angle, disc point) as a solid torus in R^3."""
-    ox, oy, oz = offset
-    return PolyCurve([
-        ((ring_radius + a) * cos(theta) + ox, (ring_radius + a) * sin(theta) + oy, b + oz)
-        for theta, (a, b) in face
-    ])
-
-
-def _fiber(d0: Point2, ring_radius, offset, n) -> PolyCurve:
-    face = [(2.0 * pi * (t + 0.31) / n, d0) for t in range(n)]
-    return _torus_embed(face, ring_radius, offset)
-
-
-def _cross_section(theta0, center: Point2, radius, ring_radius, offset, n) -> PolyCurve:
-    c0, c1 = center
-    # Reversed so every Hopf pair computes to +1, pinning the global sign
-    # convention.
-    psis = [2.0 * pi * (t + 0.17) / n for t in reversed(range(n))]
-    face = [(theta0, (c0 + radius * cos(psi), c1 + radius * sin(psi))) for psi in psis]
-    return _torus_embed(face, ring_radius, offset)
+def _loop(corners: list[tuple[int, int, int]], h: int) -> PolyCurve:
+    """The closed polyline through the corners, each edge split into h
+    equal integer steps (every edge vector must be divisible by h)."""
+    points = []
+    for (x, y, z), (x1, y1, z1) in zip(corners, corners[1:] + corners[:1]):
+        dx, dy, dz = (x1 - x) // h, (y1 - y) // h, (z1 - z) // h
+        points += [(x + t * dx, y + t * dy, z + t * dz) for t in range(h)]
+    return PolyCurve(points)
 
 
 def generator_double_point_curves(
@@ -128,51 +104,64 @@ def generator_double_point_curves(
 ) -> list[LabeledCurve]:
     """Twelve labeled polyline circles realizing the double point sets.
 
-    Each circle is either a fiber of its sphere's solid-torus face
-    (angle coordinate runs around the torus) or a cross-section circle
-    in one disc slice.  Orientations are pinned so every Hopf pair
-    carries linking number +1.
+    Coordinates are ints in units of 1/s, s = lcm(denominators of alpha
+    and beta) * n/2.  Each sphere holds two fibers, the squares of
+    half-side 2*alpha +- beta around the z axis at height +-beta, and two
+    cross-sections, squares of half-diagonal beta tilted 45 degrees in
+    the planes y = +-1 (one unit), each about the point one unit outside
+    where its fiber's edge crosses that plane.  Every edge is split into
+    n/4 equal steps, so n, a positive multiple of 4, is the number of
+    vertices per circle.  Fiber vertices have even coordinates and
+    section vertices odd x and y, so along EZ no vertex lies over another
+    circle's edge.  Orientations are pinned so every Hopf pair carries
+    linking number +1.
     """
     if params.k != 1:
         raise InvalidParams("explicit curves are only constructed for k = 1")
-    if type(n) is not int or n < 3:
-        raise InvalidParams(f"n must be an int >= 3, not {n!r}")
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    bp = beta / sqrt(2.0)  # offset magnitude along the diagonal direction
-    plus, minus = (bp, bp), (-bp, -bp)
-    ring = 2.0 * alpha
-    offsets = {
-        "X": (0.0, 0.0, 0.0),
-        "Y": (8.0 * alpha, 0.0, 0.0),
-        "Z": (16.0 * alpha, 0.0, 0.0),
-    }
-    quarter = pi / 4.0
+    if type(n) is not int or n < 4 or n % 4:
+        raise InvalidParams(f"n must be a positive multiple of 4, not {n!r}")
+    alpha, beta = params.alpha, params.beta
+    h = n // 4
+    # d * (d' / gcd(d, d')) is lcm(d, d') without math, which stays out
+    # of this module.
+    d = alpha.denominator
+    s = d * Fraction(d, beta.denominator).denominator * 2 * h
+    a, b = int(alpha * s), int(beta * s)
 
-    # (lift, sphere, kind, placement); fibers sit at a disc point, cross
-    # sections at an angle with a disc-circle center.
-    spec: list[tuple[LiftId, str, str, Point2, float]] = [
-        (LiftId(1, 1), "X", "fiber", plus, 0.0),
-        (LiftId(2, 0), "X", "fiber", minus, 0.0),
-        (LiftId(6, 1), "X", "section", plus, quarter),
-        (LiftId(5, 0), "X", "section", minus, quarter + pi),
-        (LiftId(3, 1), "Y", "fiber", plus, 0.0),
-        (LiftId(4, 0), "Y", "fiber", minus, 0.0),
-        (LiftId(2, 1), "Y", "section", plus, quarter),
-        (LiftId(1, 0), "Y", "section", minus, quarter + pi),
-        (LiftId(5, 1), "Z", "fiber", plus, 0.0),
-        (LiftId(6, 0), "Z", "fiber", minus, 0.0),
-        (LiftId(4, 1), "Z", "section", plus, quarter),
-        (LiftId(3, 0), "Z", "section", minus, quarter + pi),
+    def fiber(sign: int, ox: int) -> PolyCurve:
+        r, z = 2 * a + sign * b, sign * b
+        return _loop([(ox + r, -r, z), (ox + r, r, z),
+                      (ox - r, r, z), (ox - r, -r, z)], h)
+
+    def section(sign: int, ox: int) -> PolyCurve:
+        # Centred one unit outside the fiber's edge x = sign * r; ordered so
+        # every Hopf pair computes to +1, pinning the global sign convention.
+        r, z = 2 * a + sign * b, sign * b
+        x, dx = ox + sign * (r + 1), sign * b
+        return _loop([(x, sign, z - b), (x - dx, sign, z),
+                      (x, sign, z + b), (x + dx, sign, z)], h)
+
+    # (lift, sphere, builder, sign): the plus pair sits at disc point
+    # (+beta, +beta), the minus pair at (-beta, -beta), on opposite sides.
+    spec = [
+        (LiftId(1, 1), "X", fiber, 1),
+        (LiftId(2, 0), "X", fiber, -1),
+        (LiftId(6, 1), "X", section, 1),
+        (LiftId(5, 0), "X", section, -1),
+        (LiftId(3, 1), "Y", fiber, 1),
+        (LiftId(4, 0), "Y", fiber, -1),
+        (LiftId(2, 1), "Y", section, 1),
+        (LiftId(1, 0), "Y", section, -1),
+        (LiftId(5, 1), "Z", fiber, 1),
+        (LiftId(6, 0), "Z", fiber, -1),
+        (LiftId(4, 1), "Z", section, 1),
+        (LiftId(3, 0), "Z", section, -1),
     ]
-    out = []
-    for lift, sphere, kind, place, angle in spec:
-        if kind == "fiber":
-            curve = _fiber(place, ring, offsets[sphere], n)
-        else:
-            curve = _cross_section(angle, place, beta, ring, offsets[sphere], n)
-        out.append(LabeledCurve(lift=lift, sphere=sphere, curve=curve))
-    return out
+    offsets = {"X": 0, "Y": 8 * a, "Z": 16 * a}
+    return [
+        LabeledCurve(lift=lift, sphere=sphere, curve=build(sign, offsets[sphere]))
+        for lift, sphere, build, sign in spec
+    ]
 
 
 class GeneratorReport(Record):

@@ -261,22 +261,34 @@ def test_generator_command(capsys):
 
 
 def test_generator_refuses_fewer_than_three_vertices_per_circle(capsys):
-    for resolution in ("2", "0", "-4"):
+    # Each circle is a square with every edge split into n/4 steps.
+    for resolution in ("2", "0", "-4", "6", "10"):
         assert cli.run(["generator", "--curves", "--resolution", resolution]) == 10
-        assert "n must be an int >= 3" in capsys.readouterr().err
+        assert "n must be a positive multiple of 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "resolution, digest",
-    [("32", "8531f205f38ef3f3955c1ee2a98c181b006a6881eba33ab3a12b7398cb64a34c"),
-     ("64", "772006f12b067bf955966729e6b377982ad6204403b1c770645bbce89eeda58d")],
+    [("32", "78d3f577f3f8806dcf648640e7ef4025d31e489e2347da3aa5d7f7d123b70e17"),
+     ("64", "7b8846e48985012d994db8fd1002368b16d494f9e0d986819ec80e7e7a24a0aa")],
 )
 def test_generator_curves_print_pinned_output(capsys, resolution, digest):
-    # Byte for byte what the numpy-built curves printed.
+    # Byte for byte what the integer builder prints.
     code, out = run_cli(
         capsys, "--format", "json", "generator", "--curves", "--resolution", resolution)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_generator_curves_have_zero_writhes(capsys, tmp_path):
+    # The circles are exactly planar, so no writhe reads float noise.
+    code, out = run_cli(capsys, "--format", "json", "generator", "--curves")
+    assert code == 0
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(json.loads(out)["curves"]))
+    code, out = run_cli(capsys, "--format", "json", "writhe", str(path))
+    assert code == 0
+    assert json.loads(out) == {f"writhe_{i}": 0 for i in range(12)}
 
 
 def test_v2_command(capsys):
@@ -367,12 +379,15 @@ def test_unreadable_files_exit_2(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--kind", "triple_point", "--pattern", "all_distinct", "--k", "0"],
-     ["--kind", "definite_tangency", "--k", "-3"]],
-    ids=["triple point k 0", "definite tangency k -3"],
+    [["e-jump", "--kind", "triple_point", "--pattern", "all_distinct", "--k", "0"],
+     ["e-jump", "--kind", "definite_tangency", "--k", "-3"],
+     ["generator", "--k", "0"],
+     ["jacobian", "--k", "0"]],
+    ids=["triple point k 0", "definite tangency k -3", "generator k 0", "jacobian k 0"],
 )
 def test_e_jump_refuses_non_positive_k(capsys, argv):
-    assert cli.run(["e-jump", *argv]) == 3
+    # Every command checks k >= 1 the same way: IndexOutOfRange, exit 3.
+    assert cli.run(argv) == 3
     assert "positive" in capsys.readouterr().err
 
 

@@ -1,13 +1,14 @@
 import copy
 import pickle
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 
 from haefliger import generator
 from haefliger.diagram import LiftId, pair_key
-from haefliger.errors import InvalidParams, ParseError
+from haefliger.errors import IndexOutOfRange, InvalidParams, ParseError
 from haefliger.generator import (
     DEFAULT_PARAMS,
     HOPF_PAIRS,
@@ -17,6 +18,9 @@ from haefliger.generator import (
     generator_double_point_curves,
     verify_generator,
 )
+from haefliger.linking import EZ, ProjectionAxis, linking_matrix, writhe_pl
+
+EX, EY = ProjectionAxis((1, 0, 0)), ProjectionAxis((0, 1, 0))
 
 
 def test_params_validation():
@@ -39,18 +43,19 @@ def test_params_validation():
         (lambda: BorromeanParams(alpha=None, beta=1), ParseError),
         (lambda: BorromeanParams(alpha=4, beta=1, k="1"), ParseError),
         (lambda: BorromeanParams(alpha=4, beta=1, k=1.0), ParseError),
-        (lambda: BorromeanParams(alpha=4, beta=1, k=0), InvalidParams),
+        (lambda: BorromeanParams(alpha=4, beta=1, k=0), IndexOutOfRange),
         (lambda: generator_diagram("1"), ParseError),
         (lambda: generator_diagram(True), ParseError),
         (lambda: generator_double_point_curves(n=2.5), InvalidParams),
         (lambda: generator_double_point_curves(n="64"), InvalidParams),
         (lambda: generator_double_point_curves(n=2), InvalidParams),
+        (lambda: generator_double_point_curves(n=6), InvalidParams),
         (lambda: verify_generator(n=0), InvalidParams),
         (lambda: verify_generator(n=None), InvalidParams),
     ],
     ids=["alpha nan", "alpha inf", "alpha str", "beta bool", "alpha None", "k str",
          "k float", "k 0", "diagram k str", "diagram k bool", "n float", "n str",
-         "n 2", "verify n 0", "verify n None"],
+         "n 2", "n 6", "verify n 0", "verify n None"],
 )
 def test_generator_inputs_are_typed(build, error):
     with pytest.raises(error):
@@ -66,7 +71,7 @@ def test_generator_diagram_combinatorics():
         for a, b, _ in HOPF_PAIRS:
             assert d.lk_value(a, b) == 1
     assert generator_diagram(1).lk == generator_diagram(3).lk
-    with pytest.raises(InvalidParams):
+    with pytest.raises(IndexOutOfRange):
         generator_diagram(0)
 
 
@@ -82,38 +87,62 @@ def test_curves_only_for_k1():
         generator_double_point_curves(BorromeanParams(alpha=4, beta=1, k=2))
 
 
+def sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def test_curve_geometry():
-    params = DEFAULT_PARAMS
-    alpha, beta = float(params.alpha), float(params.beta)
-    diagonal = beta / np.sqrt(2.0)
-    offsets = {"X": 0.0, "Y": 8.0 * alpha, "Z": 16.0 * alpha}
-    labeled = generator_double_point_curves(params, n=48)
+    labeled = generator_double_point_curves(DEFAULT_PARAMS, n=48)
     assert len(labeled) == 12
     assert sorted(c.lift for c in labeled) == sorted(
         LiftId(i, e) for i in range(1, 7) for e in (0, 1)
     )
+    fibers = set()
     for entry in labeled:
-        pts = entry.curve.as_array()
-        assert len(pts) == 48
-        pts = pts - np.array([offsets[entry.sphere], 0.0, 0.0])
-        # Face coordinates of the solid torus: angle, then disc point
-        # (radial distance minus ring radius, height).
-        radial = np.hypot(pts[:, 0], pts[:, 1]) - 2.0 * alpha
-        height = pts[:, 2]
-        disc = np.stack([radial, height], axis=1)
-        if disc.std(axis=0).max() < 1e-9:
-            # Fiber: fixed disc point at +-(diagonal, diagonal).
-            assert np.allclose(np.abs(disc[0]), [diagonal, diagonal])
-        else:
-            # Cross-section: a radius-beta circle about +-(diagonal,
-            # diagonal) in one disc slice, so the angle is constant.
-            theta = np.arctan2(pts[:, 1], pts[:, 0])
-            assert np.allclose(theta, theta[0], atol=1e-9)
-            center = disc.mean(axis=0)
-            assert np.allclose(np.abs(center), [diagonal, diagonal], atol=1e-9)
-            assert np.allclose(
-                np.hypot(*(disc - center).T), beta, atol=1e-9
-            )
+        curve = entry.curve
+        assert len(curve) == 48
+        # Every coordinate is an int: the grid scale is 1.
+        assert curve._scale == 1
+        pts = curve._grid
+        if len({z for _, _, z in pts}) == 1:
+            # Fiber: one horizontal plane.
+            fibers.add(entry.lift)
+            continue
+        # Cross-section: every vertex lies in the plane of three corners,
+        # an integer determinant det(a - o, b - o, v - o) of 0.
+        o, a, b = pts[0], pts[12], pts[24]
+        normal = cross(sub(a, o), sub(b, o))
+        assert normal != (0, 0, 0)
+        assert all(sum(map(mul, normal, sub(v, o))) == 0 for v in pts)
+    # Each Hopf pair is one fiber and one cross-section.
+    assert len(fibers) == 6
+    assert all((a in fibers) != (b in fibers) for a, b, _ in HOPF_PAIRS)
+
+
+@pytest.mark.parametrize("n", [4, 32, 64])
+@pytest.mark.parametrize(
+    "params", [DEFAULT_PARAMS, BorromeanParams(alpha=3, beta=1),
+               BorromeanParams(alpha=Fraction(7, 2), beta=Fraction(3, 4))],
+    ids=["default", "alpha 3", "alpha 7/2 beta 3/4"])
+def test_curves_give_the_diagram_exactly_with_zero_writhes(rng, params, n):
+    # No sign allowance: the twelve circles build generator_diagram(1)'s
+    # entries themselves, and every circle is a simple planar polygon, so
+    # its writhe is 0 along every axis.
+    labeled = generator_double_point_curves(params, n)
+    expected = generator_diagram(1).lk
+    random_axes = [ProjectionAxis(tuple(d / np.linalg.norm(d)))
+                   for d in rng.normal(size=(3, 3))]
+    for axis in (EX, EY, EZ, *random_axes):
+        lk = linking_matrix([c.curve for c in labeled], axis)
+        built = {pair_key(labeled[i].lift, labeled[j].lift): v
+                 for (i, j), v in lk.items() if v}
+        assert built == expected, axis
+        assert [writhe_pl(c.curve, axis) for c in labeled] == [0] * 12, axis
 
 
 def test_verify_generator_end_to_end():

@@ -96,18 +96,24 @@ def test_numpy_import_rule_sees_every_import_form():
     assert module_level_numpy_imports(ast.parse(allowed)) == []
 
 
+def imports_of(path: Path, module: str) -> list[int]:
+    """Lines of every import of ``module`` in the file, inside functions too."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == module for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").split(".")[0] == module)
+    ]
+
+
 def test_library_never_imports_dataclasses():
     # dataclasses loads inspect, which costs every CLI call more than its
     # own work; the records share haefliger._record instead.  Imports
     # inside functions count too, since a command would still pay them.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
-        or (isinstance(node, ast.ImportFrom) and not node.level
-            and (node.module or "").split(".")[0] == "dataclasses")
+        f"{path.name}:{line}" for path in SOURCES for line in imports_of(path, "dataclasses")
     ]
     assert SOURCES and found == []
 
@@ -134,3 +140,10 @@ def test_exit_codes_map_exactly_the_errors_the_library_raises():
     }
     assert sorted(cls.__name__ for cls in defined if cls.__name__ not in built) == []
 
+
+
+def test_generator_imports_nothing_from_math():
+    # The twelve circles are built on int vertices; float trig would make
+    # the cross-sections inexactly planar again.
+    path = next(p for p in SOURCES if p.name == "generator.py")
+    assert imports_of(path, "math") == []
