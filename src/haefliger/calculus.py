@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
+from numbers import Rational
 from operator import mul, ne
 from typing import (
     TYPE_CHECKING,
@@ -129,6 +130,14 @@ def _straddles(
         yield inside, straddle
 
 
+def _exact(h) -> Fraction:
+    """An invariant value h as a Fraction: any ``numbers.Rational`` but a
+    bool (an int, a Fraction, a numpy integer); ParseError otherwise."""
+    if isinstance(h, Rational) and not isinstance(h, bool):
+        return Fraction(int(h.numerator), int(h.denominator))
+    raise ParseError(f"h must be a rational number (an int or a Fraction), not {h!r}")
+
+
 def _subset_values(
     h0: Fraction | int, d: CrossingDiagram, indices: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -136,7 +145,7 @@ def _subset_values(
 
     The members of each S keep the order of ``indices``.
     """
-    h0 = Fraction(h0)
+    h0 = _exact(h0)
     idx = list(indices)
     for inside, straddle in _straddles(d, idx):
         yield tuple(compress(idx, inside)), h0 - Fraction(straddle, 2)
@@ -154,12 +163,13 @@ def v_alternating(
     integers, with one ``Fraction`` at the end.  The n-th subset of the
     Gray-code walk has the parity of n, so no subset is built.
     """
+    h0 = _exact(h0)
     sign, signs, straddles = 1, 0, 0
     for _, straddle in _straddles(d, indices):
         signs += sign
         straddles += sign * straddle
         sign = -sign
-    return signs * Fraction(h0) - Fraction(straddles, 2)
+    return signs * h0 - Fraction(straddles, 2)
 
 
 def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:
@@ -168,7 +178,7 @@ def e_invariant(h_of_f: Fraction | int, d: CrossingDiagram) -> Fraction:
     Independent of which lift supplied ``h_of_f``: replacing (h, d) by
     (h - delta_h(d, S), crossing_change(d, S)) gives the same value.
     """
-    return Fraction(h_of_f) - Fraction(d._columns.pair_sum, 4)
+    return _exact(h_of_f) - Fraction(d._columns.pair_sum, 4)
 
 
 EventKind = Literal["definite_tangency", "indefinite_tangency", "triple_point"]
@@ -267,7 +277,7 @@ def _check_k(k: int) -> None:
 
 def smale_from_h(h: Fraction | int) -> Fraction:
     """Smale invariant of an embedding factoring through codimension 2."""
-    return -12 * Fraction(h)
+    return -12 * _exact(h)
 
 
 def murai_ohba_certificate(

@@ -24,7 +24,7 @@ import re
 from typing import Iterable
 
 from ._record import Record
-from .errors import HaefligerError, LabelMismatch, MalformedToken, NonRealizable
+from .errors import HaefligerError, LabelMismatch, MalformedToken, NonRealizable, ParseError
 
 
 class Arrow(Record):
@@ -178,11 +178,22 @@ def descending_set(diagram: GaussDiagramK) -> set[str]:
     return {a.label for a in diagram.arrows if a.under < a.over}
 
 
-def switch(diagram: GaussDiagramK, labels: set[str]) -> GaussDiagramK:
-    """Crossing change: swap over/under and negate the sign of each label."""
+def switch(diagram: GaussDiagramK, labels: Iterable[str]) -> GaussDiagramK:
+    """Crossing change: swap over/under and negate the sign of each label.
+
+    ``labels`` is any iterable of the diagram's labels; a bare str (not
+    read as its characters), a non-iterable or an unknown label is
+    LabelMismatch.
+    """
+    if isinstance(labels, str):
+        raise LabelMismatch(f"labels must be an iterable of labels, not the str {labels!r}")
+    try:
+        labels = set(labels)
+    except TypeError:  # not iterable, or an unhashable label
+        raise LabelMismatch(f"labels must be an iterable of labels, not {labels!r}") from None
     unknown = labels - {a.label for a in diagram.arrows}
     if unknown:
-        raise LabelMismatch(f"unknown labels {sorted(unknown)}")
+        raise LabelMismatch(f"unknown labels {sorted(unknown, key=str)}")
     arrows = tuple(
         Arrow(a.label, a.under, a.over, -a.sign) if a.label in labels else a
         for a in diagram.arrows
@@ -191,7 +202,9 @@ def switch(diagram: GaussDiagramK, labels: set[str]) -> GaussDiagramK:
 
 
 def rotate_basepoint(diagram: GaussDiagramK, shift: int) -> GaussDiagramK:
-    """Move the basepoint forward by `shift` positions."""
+    """Move the basepoint forward by `shift` positions, an int (else ParseError)."""
+    if type(shift) is not int:
+        raise ParseError(f"shift must be an int, not {shift!r}")
     size = 2 * diagram.n
     if size == 0:
         return diagram

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from ._record import Record
 from .diagram import CrossingDiagram, LiftId, make_diagram
-from .errors import InvalidParams, ParseError
-from .linking import PolyCurve, linking_matrix
+from .errors import InvalidParams
+from .linking import PolyCurve, _ratio, linking_matrix
 from .calculus import _check_k, delta_h_reduced
 
 # The six Hopf-linked pairs of double point components, grouped by the
@@ -38,8 +38,8 @@ HOPF_PAIRS: tuple[tuple[LiftId, LiftId, str], ...] = (
 class BorromeanParams(Record):
     """Radii of the Borromean bidisc spheres; requires 2*beta < alpha.
 
-    A radius is any finite number ``Fraction`` takes but a string or a
-    bool, and k an int >= 1 (else ParseError, or IndexOutOfRange for k < 1).
+    The radii are read by ``linking._ratio`` (else ParseError), and k is
+    an int >= 1 (else ParseError, or IndexOutOfRange for k < 1).
     """
 
     alpha: Fraction
@@ -48,22 +48,13 @@ class BorromeanParams(Record):
     __slots__ = _fields = ("alpha", "beta", "k")
 
     def __init__(self, alpha: Fraction, beta: Fraction, k: int = 1) -> None:
-        alpha, beta = _radius("alpha", alpha), _radius("beta", beta)
+        alpha, beta = Fraction(*_ratio(alpha)), Fraction(*_ratio(beta))
         _check_k(k)
         if alpha <= 0 or beta <= 0 or 2 * beta >= alpha:
             raise InvalidParams(
                 f"need 0 < 2*beta < alpha, got alpha={alpha}, beta={beta}"
             )
         self._set(alpha, beta, k)
-
-
-def _radius(name: str, value) -> Fraction:
-    if not isinstance(value, (str, bool)):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
-            pass
-    raise ParseError(f"{name} must be a finite number, not {value!r}")
 
 
 DEFAULT_PARAMS = BorromeanParams(alpha=4, beta=1, k=1)

@@ -18,6 +18,10 @@ input).  A curve stores its vertices as such a grid, built once when it
 is constructed; its ``Fraction`` vertices and its float array are made on
 first use.
 
+Every real input of the geometric layer, from a vertex coordinate to the
+generator's radii, is read by one rule, ``_ratio``; anything it refuses
+(a bool, a string, None, np.float32) raises ParseError, never coerced.
+
 The candidates come from one of two finders, which keep the same pairs
 that touch and so give the same results.  A call that compares at most
 ``_DENSE_PAIRS`` = 1024 segment pairs (n*m for two curves, the sum of
@@ -46,11 +50,12 @@ number +1.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
-from math import cos, inf, isfinite, lcm, pi, sin, sqrt
-from numbers import Real
+from math import cos, inf, lcm, pi, sin, sqrt
+from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import Record
@@ -59,7 +64,8 @@ from .errors import CurvesIntersect, HaefligerError, InvalidParams, ParseError
 if TYPE_CHECKING:
     import numpy as np
 
-Vec3 = tuple[Fraction, Fraction, Fraction]
+# A vertex on a call's integer grid, as the exact predicates take it.
+Vec3 = tuple[int, int, int]
 Segment = tuple[Vec3, Vec3]
 
 _MEET = "curves meet in R^3; not a valid link"
@@ -68,22 +74,37 @@ _MEET = "curves meet in R^3; not a valid link"
 # docstring).
 _DENSE_PAIRS = 1024
 
-
-def _to_vec3(point) -> Vec3:
-    try:
-        x, y, z = point
-        return (Fraction(x), Fraction(y), Fraction(z))
-    except (TypeError, ValueError, OverflowError) as exc:  # NaN, inf, no triple
-        raise ParseError(f"bad point {point!r}: {exc}") from exc
+# PolyCurve reads an int below this in magnitude inline, others by _ratio.
+_BIG = 2**1023
 
 
 def _ratio(x) -> tuple[int, int]:
-    """x as a reduced (numerator, denominator > 0), both Python ints: a
-    numpy integer keeps its own type through ``Fraction``."""
-    if isinstance(x, (float, int)):
-        return x.as_integer_ratio()
-    n, d = Fraction(x).as_integer_ratio()
-    return int(n), int(d)
+    """The one number rule: a non-bool int, a float (numpy's float64
+    included), a ``numbers.Rational`` (Fraction, numpy integers) or a
+    ``Decimal``, finite and in the float range (the float prefilter needs
+    every coordinate as a float), as a reduced (numerator, denominator > 0)
+    of Python ints; ParseError otherwise."""
+    # Fraction is a Rational too; named first, it skips the slower ABC check.
+    if isinstance(x, (int, float, Fraction, Decimal, Rational)) and not isinstance(x, bool):
+        try:
+            if isinstance(x, (float, Decimal)):
+                n, d = x.as_integer_ratio()
+            else:  # a Rational, in lowest terms; int() unwraps numpy integers
+                n, d = int(x.numerator), int(x.denominator)
+            n / d  # OverflowError beyond the float range
+            return n, d
+        except (ValueError, OverflowError):  # NaN, an infinity, too large
+            pass
+    raise ParseError(f"{x!r} is not a non-bool int, float, Rational or Decimal in float range")
+
+
+def _point(value) -> list[tuple[int, int]]:
+    """Three coordinates, each read by ``_ratio``; ParseError otherwise."""
+    try:
+        x, y, z = value
+        return [_ratio(x), _ratio(y), _ratio(z)]
+    except (TypeError, ValueError, ParseError) as exc:  # no triple, a bad number
+        raise ParseError(f"bad point {value!r}: {exc}") from None
 
 
 class PolyCurve(Record):
@@ -93,47 +114,42 @@ class PolyCurve(Record):
     of the coordinates' reduced denominators) and every vertex times D as
     an int triple, so crossing predicates are error-free.  The grid is
     canonical, so equality and hashing run on it and agree with comparing
-    the rational vertices.  Ints and floats (numpy's float64 included) are
-    read with ``as_integer_ratio``; any other coordinate goes through
-    ``Fraction``, so Fractions, Decimals, numpy integers and numeric
-    strings work too.  A coordinate beyond the float range is refused
-    with ParseError, since the float prefilter needs every coordinate as
-    a float.  ``vertices`` (as Fractions) and the float array are made on
-    first use and cached outside the fields.
+    the rational vertices.  Every coordinate is read by ``_ratio``; a point
+    of three floats, or of three ints well inside the float range, is read
+    inline, without a call per coordinate.  A bad point raises
+    ParseError("[i]: bad point ..."), i its index.  ``vertices`` (as
+    Fractions) and the float array are made on first use and cached
+    outside the fields.
     """
 
     _scale: int
-    _grid: tuple[tuple[int, int, int], ...]
+    _grid: tuple[Vec3, ...]
     _fields = ("_scale", "_grid")
     __slots__ = (*_fields, "__dict__")  # the dict holds the cached conversions
 
     def __init__(self, points: Iterable) -> None:
         ratios = []
-        # A finite float is in float range; anything else may not be.
-        unbounded = False
-        point = None
+        point = points  # until a point is read, a failure is the list's own
         try:
             for point in points:
                 x, y, z = point
                 if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
                     ratios += (x.as_integer_ratio(), y.as_integer_ratio(),
                                z.as_integer_ratio())
+                elif (type(x) is type(y) is type(z) is int
+                      and -_BIG < x < _BIG and -_BIG < y < _BIG and -_BIG < z < _BIG):
+                    ratios += ((x, 1), (y, 1), (z, 1))
                 else:
-                    unbounded = True
                     ratios += (_ratio(x), _ratio(y), _ratio(z))
-        except (TypeError, ValueError, OverflowError) as exc:  # NaN, inf, no triple, no list
-            raise ParseError(f"bad point {point!r}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError, ParseError) as exc:  # no triple, a bad number
+            at = "" if point is points else f"[{len(ratios) // 3}]: "
+            raise ParseError(f"{at}bad point {point!r}: {exc}") from exc
         if len(ratios) < 9:
             raise ParseError("a closed curve needs at least 3 vertices")
         dens = {d for _, d in ratios}
         scale = lcm(*dens)
         factor = {d: scale // d for d in dens}
         ints = [n * factor[d] for n, d in ratios]
-        if unbounded:
-            try:
-                max(max(ints), -min(ints)) / scale
-            except OverflowError:
-                raise ParseError("a coordinate is beyond the float range") from None
         grid = tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
         for a, b in zip(grid, grid[1:] + grid[:1]):
             if a == b:
@@ -151,7 +167,7 @@ class PolyCurve(Record):
         return len(self._grid)
 
     @cached_property
-    def vertices(self) -> tuple[Vec3, ...]:
+    def vertices(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """The vertices as exact Fractions, made once on first use."""
         d = self._scale
         return tuple(
@@ -162,7 +178,7 @@ class PolyCurve(Record):
         return PolyCurve(self.vertices[::-1])
 
     def translated(self, offset) -> "PolyCurve":
-        dx, dy, dz = _to_vec3(offset)
+        dx, dy, dz = (Fraction(n, d) for n, d in _point(offset))
         return PolyCurve([(x + dx, y + dy, z + dz) for x, y, z in self.vertices])
 
     def as_array(self) -> np.ndarray:
@@ -187,12 +203,12 @@ class ProjectionAxis(Record):
     the fields, so equality, hashing and repr see only ``direction``.
     """
 
-    direction: Vec3
+    direction: tuple[Fraction, Fraction, Fraction]
     _fields = ("direction",)
     __slots__ = (*_fields, "__dict__")  # the dict holds the cached basis
 
     def __init__(self, direction) -> None:
-        d = _to_vec3(direction)
+        d = tuple(Fraction(n, q) for n, q in _point(direction))
         try:
             norm2 = float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         except OverflowError:
@@ -507,14 +523,16 @@ def circle(
     """Regular n-gon approximating a circle with the given plane normal.
 
     Oriented counterclockwise when viewed from the tip of ``normal``.
-    ``n`` must be an int >= 3; ``radius`` must be a real number and
-    ``center`` and ``normal`` three real numbers each, all in the float
-    range (a bool is neither an int nor a real number here).
+    ``n`` must be an int >= 3 (else InvalidParams); ``radius``, ``phase``
+    and the three coordinates of ``center`` and ``normal`` are read by
+    ``_ratio`` and used as floats.
     """
     if type(n) is not int or n < 3:
         raise InvalidParams(f"n must be an int >= 3, not {n!r}")
-    radius = _real("radius", radius)
-    c, w = _real_triple("center", center), _unit(_real_triple("normal", normal))
+    (r, rd), (p, pd) = _ratio(radius), _ratio(phase)
+    radius, phase = r / rd, p / pd
+    c = [x / d for x, d in _point(center)]
+    w = _unit([x / d for x, d in _point(normal)])
     i = min(range(3), key=lambda t: abs(w[t]))
     u = _unit(_cross([float(t == i) for t in range(3)], w))
     v = _cross(w, u)
@@ -524,27 +542,6 @@ def circle(
         ca, sa = cos(angle), sin(angle)
         points.append([c[t] + radius * (ca * u[t] + sa * v[t]) for t in range(3)])
     return PolyCurve(points)
-
-
-def _real(name: str, x) -> float:
-    """A real, non-bool number in the float range as a float; ParseError
-    otherwise."""
-    if isinstance(x, Real) and not isinstance(x, bool):
-        try:
-            return float(x)
-        except OverflowError:
-            pass
-    raise ParseError(f"{name} must be a real number in the float range, not {x!r}")
-
-
-def _real_triple(name: str, value) -> list[float]:
-    try:
-        coords = tuple(value)
-    except TypeError:
-        coords = ()
-    if len(coords) != 3:
-        raise ParseError(f"{name} must be three real numbers, not {value!r}")
-    return [_real(f"a {name} coordinate", x) for x in coords]
 
 
 def _unit(vec: list[float]) -> list[float]:
@@ -560,32 +557,17 @@ def curves_to_dict(curves: Sequence[PolyCurve]) -> dict:
     return {"components": [[[x / c._scale for x in p] for p in c._grid] for c in curves]}
 
 
-def _finite_float(x: int | float) -> bool:
-    try:
-        return isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _vertex(point, c: int, v: int) -> tuple:
-    coords = tuple(point)
-    for x in coords:
-        # bool is an int subclass; Fraction would also take strings.  The
-        # float prefilter needs every coordinate as a finite float.
-        if (isinstance(x, bool) or not isinstance(x, (int, float))
-                or not _finite_float(x)):
-            raise ParseError(
-                f"components[{c}][{v}]: coordinate {x!r} is not a finite"
-                " number in float range"
-            )
-    return coords
-
-
 def curves_from_dict(data: dict) -> list[PolyCurve]:
+    """The curves of a document; a bad point reads ``components[c][i]: ...``."""
     try:
-        return [
-            PolyCurve([_vertex(p, c, v) for v, p in enumerate(comp)])
-            for c, comp in enumerate(data["components"])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        components = list(data["components"])
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed curve document: {exc}") from exc
+    curves = []
+    for c, comp in enumerate(components):
+        try:
+            curves.append(PolyCurve(comp))
+        except ParseError as exc:
+            msg = str(exc)
+            raise ParseError(f"components[{c}]{'' if msg[0] == '[' else ': '}{msg}") from exc
+    return curves

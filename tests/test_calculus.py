@@ -3,6 +3,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from haefliger import calculus
@@ -134,6 +135,30 @@ def test_v_alternating_is_the_signed_sum_of_subset_values(rng):
 
 def test_v_alternating_of_no_indices_is_h0():
     assert v_alternating(Fraction(-7, 3), generator_diagram(1), []) == Fraction(-7, 3)
+
+
+_H_READERS = {
+    "e_invariant": lambda h: e_invariant(h, generator_diagram(1)),
+    "v_alternating": lambda h: v_alternating(h, generator_diagram(1), [1, 2]),
+    "_subset_values": lambda h: list(calculus._subset_values(h, generator_diagram(1), [1])),
+    "smale_from_h": smale_from_h,
+}
+
+
+@pytest.mark.parametrize("h", ["1/2", True, "abc", None, float("nan"), 0.5],
+                         ids=["str 1/2", "bool", "str abc", "None", "nan", "float"])
+@pytest.mark.parametrize("name", _H_READERS)
+def test_h_arguments_refuse_what_is_not_rational(name, h):
+    with pytest.raises(ParseError):
+        _H_READERS[name](h)
+
+
+@pytest.mark.parametrize("name", _H_READERS)
+def test_h_arguments_take_any_rational(name):
+    results = [_H_READERS[name](h) for h in (2, Fraction(2), np.int64(2))]
+    assert results[0] == results[1] == results[2]
+    values = [u for _, u in results[2]] if name == "_subset_values" else [results[2]]
+    assert all(type(u.numerator) is int for u in values)  # no numpy integer inside
 
 
 class CountingMapping(Mapping):

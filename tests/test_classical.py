@@ -16,7 +16,7 @@ from haefliger.classical import (
     v2,
     x_pairing,
 )
-from haefliger.errors import LabelMismatch, MalformedToken, NonRealizable
+from haefliger.errors import LabelMismatch, MalformedToken, NonRealizable, ParseError
 
 from helpers import (
     FIGURE_EIGHT,
@@ -97,6 +97,22 @@ def test_descending_set_and_switch():
 def test_switch_is_involution():
     g = parse_gauss_code(FIGURE_EIGHT)
     assert switch(switch(g, {"1", "3"}), {"1", "3"}) == g
+
+
+def test_switch_takes_any_iterable_of_labels_but_a_str():
+    g = parse_gauss_code(FIGURE_EIGHT)
+    assert switch(g, ["1", "3"]) == switch(g, ("3", "1")) == switch(g, {"1", "3"})
+    assert switch(g, []) == g
+    for labels in ("1", "13", None, [["1"]], [1], ["1", 3]):
+        with pytest.raises(LabelMismatch):
+            switch(g, labels)
+
+
+@pytest.mark.parametrize("shift", ["1", None, True, 1.5, 2.0],
+                         ids=["str", "None", "bool", "float", "integral float"])
+def test_rotate_basepoint_refuses_a_shift_that_is_not_an_int(shift):
+    with pytest.raises(ParseError):
+        rotate_basepoint(parse_gauss_code(TREFOIL), shift)
 
 
 def test_v2_anchor_values():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haefliger.errors import CurvesIntersect, InvalidParams, ParseError
+from haefliger.generator import BorromeanParams
 from haefliger.linking import (
     EZ,
     PolyCurve,
@@ -20,7 +21,6 @@ from haefliger.linking import (
     _plane_basis,
     _segment_crossings,
     _segments_meet,
-    _to_vec3,
     _touching_pairs,
     circle,
     curves_from_dict,
@@ -71,8 +71,8 @@ SEGMENT_CASES = [
 
 @pytest.mark.parametrize("seg1, seg2, meet", SEGMENT_CASES)
 def test_segments_meet(seg1, seg2, meet):
-    s1 = tuple(_to_vec3(p) for p in seg1)
-    s2 = tuple(_to_vec3(p) for p in seg2)
+    s1 = tuple(tuple(Fraction(x) for x in p) for p in seg1)
+    s2 = tuple(tuple(Fraction(x) for x in p) for p in seg2)
     for a, b in ((s1, s2), (s2, s1), (s1[::-1], s2), (s1, s2[::-1])):
         assert _segments_meet(a, b) is meet
 
@@ -964,11 +964,15 @@ def test_circle_refuses_a_zero_normal():
      ({"center": None}, ParseError), ({"center": (10**400, 0, 0)}, ParseError),
      ({"normal": ("0", "0", "1")}, ParseError), ({"normal": (0, 1)}, ParseError),
      ({"normal": (0, 0, 1, 0)}, ParseError), ({"normal": (0, 0, True)}, ParseError),
-     ({"normal": (0, 0, 1e-320)}, ParseError), ({"normal": (1e200, 0, 0)}, ParseError)],
+     ({"normal": (0, 0, 1e-320)}, ParseError), ({"normal": (1e200, 0, 0)}, ParseError),
+     ({"phase": "x"}, ParseError), ({"phase": None}, ParseError),
+     ({"phase": float("inf")}, ParseError), ({"phase": 10**400}, ParseError),
+     ({"phase": True}, ParseError)],
     ids=["n float", "n bool", "n str", "n 2", "n 0", "n negative", "radius str", "radius None", "radius bool",
          "radius beyond float", "center str", "center 2", "center 4", "center bool",
          "center None", "center beyond float", "normal str", "normal 2", "normal 4",
-         "normal bool", "normal subnormal", "normal overflowing"],
+         "normal bool", "normal subnormal", "normal overflowing", "phase str", "phase None",
+         "phase inf", "phase beyond float", "phase bool"],
 )
 def test_circle_refuses_a_bad_count_or_radius(arguments, error):
     # Center and normal are checked as the radius is, so their cases are here too.
@@ -977,6 +981,41 @@ def test_circle_refuses_a_bad_count_or_radius(arguments, error):
 
 
 BIG = 10**400
+
+# The one number rule at every reader of a real input.  A reader refuses
+# a value with the rule's ParseError; an axis that is not unit length is
+# refused for its length, after its numbers were read.
+_READERS = {
+    "PolyCurve coordinate": lambda v: PolyCurve([(v, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "translated offset": lambda v: hopf_link(8)[0].translated((0, v, 0)),
+    "ProjectionAxis component": lambda v: ProjectionAxis((0, v, 0)),
+    "circle center": lambda v: circle((v, 0, 0), 1.0, (0, 0, 1), n=8),
+    "circle normal": lambda v: circle((0, 0, 0), 1.0, (0, 0, v), n=8),
+    "circle radius": lambda v: circle((0, 0, 0), v, (0, 0, 1), n=8),
+    "circle phase": lambda v: circle((0, 0, 0), 1.0, (0, 0, 1), n=8, phase=v),
+    "BorromeanParams.alpha": lambda v: BorromeanParams(alpha=v, beta=Fraction(1, 10)),
+}
+
+
+def _reads(build, value) -> bool:
+    try:
+        build(value)
+    except ParseError as exc:
+        return "unit length" in str(exc)
+    return True
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(True, False), ("1", False), (None, False), (NAN, False), (INF, False),
+     (BIG, False), (np.float32(0.5), False), (Decimal("0.5"), True),
+     (Fraction(1, 3), True), (np.int64(2), True), (2, True), (0.5, True)],
+    ids=["bool", "str", "None", "nan", "inf", "10**400", "np.float32", "Decimal",
+         "Fraction", "np.int64", "int", "float"],
+)
+def test_every_reader_accepts_and_refuses_the_same_numbers(value, accepted):
+    outcomes = {name: _reads(build, value) for name, build in _READERS.items()}
+    assert outcomes == dict.fromkeys(_READERS, accepted)
 
 
 @pytest.mark.parametrize(
