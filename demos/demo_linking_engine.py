@@ -43,9 +43,7 @@ print("\n=== Axis independence ===")
 rng = np.random.default_rng(0)
 for _ in range(3):
     d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
-    axis = ProjectionAxis(tuple(d))
-    print("axis", np.round(d, 3), "->", linking_number_pl(c1, c2, axis))
+    print("axis", np.round(d, 3), "->", linking_number_pl(c1, c2, ProjectionAxis(tuple(d))))
 
 print("\n=== Writhe ===")
 kink = PolyCurve([(0, 0, 0), (2, 2, 0), (2, 0, 1), (0, 2, 1)])

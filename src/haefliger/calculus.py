@@ -35,14 +35,8 @@ from typing import (
 )
 
 from ._record import Record
-from .diagram import CrossingDiagram, LiftId, make_diagram
-from .errors import (
-    DuplicateIndex,
-    HaefligerError,
-    InconsistentEvent,
-    IndexOutOfRange,
-    ParseError,
-)
+from .diagram import CrossingDiagram, LiftId, _check_k, make_diagram
+from .errors import DuplicateIndex, HaefligerError, InconsistentEvent, ParseError
 
 if TYPE_CHECKING:
     from .linking import PolyCurve, ProjectionAxis
@@ -266,13 +260,6 @@ def e_jump(event: HomotopyEvent, k: int) -> Fraction:
     if event.pattern in ("i_eq_j", "j_eq_p"):
         return Fraction(0)
     return event.sign * Fraction(1, 4)
-
-
-def _check_k(k: int) -> None:
-    if type(k) is not int:
-        raise ParseError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise IndexOutOfRange("k must be a positive integer")
 
 
 def smale_from_h(h: Fraction | int) -> Fraction:

@@ -21,7 +21,8 @@ from .errors import AsymmetricEntry, HaefligerError, IndexOutOfRange, ParseError
 
 
 class LiftId(NamedTuple):
-    """One sheet of a crossing: crossing index (1-based) and level 0/1."""
+    """One sheet of a crossing: crossing index (1-based) and level 0/1,
+    ordered as a tuple: by crossing, then level 0 before 1."""
 
     crossing: int
     level: int
@@ -30,18 +31,11 @@ class LiftId(NamedTuple):
 PairKey = tuple[LiftId, LiftId]
 
 
-def lift_lt(a: LiftId, b: LiftId) -> bool:
-    """Strict total order: (i,e) < (j,e') iff i < j, or i = j with e=0, e'=1."""
-    if a.crossing != b.crossing:
-        return a.crossing < b.crossing
-    return a.level == 0 and b.level == 1
-
-
 def pair_key(a: LiftId, b: LiftId) -> PairKey:
     """Canonical (sorted) key for the unordered pair {a, b}."""
     if a == b:
         raise AsymmetricEntry(f"pair of identical lifts {a}")
-    return (a, b) if lift_lt(a, b) else (b, a)
+    return (a, b) if a < b else (b, a)
 
 
 class _Columns(NamedTuple):
@@ -120,9 +114,11 @@ class CrossingDiagram(Record):
 
     def __init__(self, k: int, m: int, lk: Mapping[PairKey, int] = _EMPTY,
                  writhe: Mapping[LiftId, int] = _EMPTY) -> None:
-        if type(k) is not int or type(m) is not int:
-            raise ParseError(f"k and m must be integers, got k={k!r}, m={m!r}")
-        _check_shape(k, m)
+        if type(m) is not int:
+            raise ParseError(f"m must be an int, got {m!r}")
+        _check_k(k)
+        if m < 0:
+            raise IndexOutOfRange(f"crossing count m={m} must be non-negative")
         for name, table in (("lk", lk), ("writhe", writhe)):
             if not isinstance(table, Mapping):
                 raise ParseError(f"{name} must be a mapping, not {type(table).__name__};"
@@ -138,7 +134,7 @@ class CrossingDiagram(Record):
             except (TypeError, ValueError):
                 raise ParseError(f"lk key {key!r} is not a pair of LiftIds") from None
             # Both lifts LiftIds, every field an int, both lifts in range and
-            # lift_lt(a, b), in one test that allocates nothing: every
+            # a < b, in one test that allocates nothing: every
             # diagram constructed pays it once per entry.
             if not (type(a) is type(b) is LiftId
                     and type(i) is type(j) is type(e) is type(f) is type(value) is int
@@ -146,7 +142,7 @@ class CrossingDiagram(Record):
                     and (i < j or e < f)):
                 _check_lift(a, m)
                 _check_lift(b, m)
-                if not lift_lt(a, b):
+                if not a < b:
                     raise AsymmetricEntry(f"key {key} not in canonical order")
                 raise ParseError(f"lk value for {key} must be an integer, got {value!r}")
             if value:
@@ -204,11 +200,12 @@ class CrossingDiagram(Record):
         return s
 
 
-def _check_shape(k: int, m: int) -> None:
+def _check_k(k: int) -> None:
+    """k is an int (else ParseError) and at least 1 (else IndexOutOfRange)."""
+    if type(k) is not int:
+        raise ParseError(f"k must be an int, got {k!r}")
     if k < 1:
         raise IndexOutOfRange(f"dimension parameter k={k} must be positive")
-    if m < 0:
-        raise IndexOutOfRange(f"crossing count m={m} must be non-negative")
 
 
 def _lift_error(lift: LiftId, m: int) -> HaefligerError | None:
@@ -345,16 +342,14 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
     columns itself, so each row is read once.  Errors come in the order
     of reading the whole document first and checking ranges after: any
     ParseError or AsymmetricEntry of a row wins over a range error
-    (IndexOutOfRange) of an earlier one.  A zero row is range-checked
-    like any other, then dropped.
+    (IndexOutOfRange) of an earlier one.  A zero row is checked like any
+    other, repeats included, and dropped once every row is read.
     """
     # One LiftId per lift, shared by every key that names it, found by
-    # 2i + e: with levels 0/1 that number orders lifts as lift_lt does.
+    # 2i + e: with levels 0/1 that number orders lifts as tuples do.
     lifts: dict[int, LiftId] = {}
     lk: dict[PairKey, int] = {}
     writhe: dict[LiftId, int] = {}
-    zero_pairs: set[PairKey] = set()
-    zero_lifts: set[LiftId] = set()
     lower: list[int] = []
     upper: list[int] = []
     signed: list[int] = []
@@ -379,31 +374,32 @@ def diagram_from_dict(data: dict) -> CrossingDiagram:
                 # until the whole document is read.
                 a, b = key = pair_key(LiftId(row["i"], ei), LiftId(row["j"], ej))
                 deferred = deferred or _lift_error(a, m) or _lift_error(b, m)
-            if key in lk or zero_pairs and key in zero_pairs:
+            if key in lk:
                 raise ParseError(f"duplicate lk entry for pair {key}")
-            if not value:
-                zero_pairs.add(key)
-                continue
             lk[key] = value
-            lower.append(i)
-            upper.append(j)
-            signed.append(value if ei == ej else -value)
+            if value:
+                lower.append(i)
+                upper.append(j)
+                signed.append(value if ei == ej else -value)
         for pos, row in enumerate(data.get("writhe", [])):
             i, e, value = row["i"], row["e"], row["value"]
             if not type(i) is type(e) is type(value) is int:
                 raise _non_integer(f"writhe[{pos}]", row, ("i", "e", "value"))
             lift = 0 <= e <= 1 and lifts.get(i + i + e) or LiftId(i, e)
-            if lift in writhe or lift in zero_lifts:
+            if lift in writhe:
                 raise ParseError(f"duplicate writhe entry for {lift}")
             deferred = deferred or _lift_error(lift, m)
-            if not value:
-                zero_lifts.add(lift)
-                continue
             writhe[lift] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc
-    _check_shape(k, m)
+    _check_k(k)
+    if m < 0:
+        raise IndexOutOfRange(f"crossing count m={m} must be non-negative")
     if deferred:
         raise deferred
+    if len(lk) > len(signed):  # zero rows were read; missing means 0
+        lk = {key: value for key, value in lk.items() if value}
+    if 0 in writhe.values():
+        writhe = {lift: value for lift, value in writhe.items() if value}
     return CrossingDiagram._from_checked(k, m, lk, writhe, _Columns(
         lower, upper, signed, sum(signed), sum(writhe.values())))

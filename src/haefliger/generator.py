@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .diagram import CrossingDiagram, LiftId, make_diagram
+from .diagram import CrossingDiagram, LiftId, _check_k, make_diagram
 from .errors import InvalidParams
 from .linking import PolyCurve, _ratio, linking_matrix
-from .calculus import _check_k, delta_h_reduced
+from .calculus import delta_h_reduced
 
 # The six Hopf-linked pairs of double point components, grouped by the
 # sphere containing them.

@@ -82,18 +82,21 @@ def _ratio(x) -> tuple[int, int]:
     """The one number rule: a non-bool int, a float (numpy's float64
     included), a ``numbers.Rational`` (Fraction, numpy integers) or a
     ``Decimal``, finite and in the float range (the float prefilter needs
-    every coordinate as a float), as a reduced (numerator, denominator > 0)
-    of Python ints; ParseError otherwise."""
+    every coordinate as a float, and a nonzero one as a nonzero float), as
+    a reduced (numerator, denominator > 0) of Python ints; ParseError
+    otherwise.  A Decimal's exponent is judged before its ratio is built."""
     # Fraction is a Rational too; named first, it skips the slower ABC check.
     if isinstance(x, (int, float, Fraction, Decimal, Rational)) and not isinstance(x, bool):
         try:
+            if isinstance(x, Decimal) and x and not -324 <= x.adjusted() <= 308:
+                raise OverflowError
             if isinstance(x, (float, Decimal)):
                 n, d = x.as_integer_ratio()
             else:  # a Rational, in lowest terms; int() unwraps numpy integers
                 n, d = int(x.numerator), int(x.denominator)
-            n / d  # OverflowError beyond the float range
-            return n, d
-        except (ValueError, OverflowError):  # NaN, an infinity, too large
+            if n / d or not n:  # OverflowError above the float range, 0.0 below it
+                return n, d
+        except (ValueError, OverflowError):  # NaN, an infinity, out of range
             pass
     raise ParseError(f"{x!r} is not a non-bool int, float, Rational or Decimal in float range")
 
@@ -197,7 +200,9 @@ class PolyCurve(Record):
 
 
 class ProjectionAxis(Record):
-    """Unit direction along which curves are projected.
+    """Any nonzero direction along which curves are projected, kept
+    exactly as given (a zero one raises ParseError).  Only the direction
+    is read, so (0, 0, 2) projects as (0, 0, 1) does.
 
     Its integer plane basis is computed on first use and cached outside
     the fields, so equality, hashing and repr see only ``direction``.
@@ -209,16 +214,12 @@ class ProjectionAxis(Record):
 
     def __init__(self, direction) -> None:
         d = tuple(Fraction(n, q) for n, q in _point(direction))
-        try:
-            norm2 = float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        except OverflowError:
-            norm2 = float("inf")
-        if abs(sqrt(norm2) - 1.0) > 1e-12:
-            raise ParseError(f"axis direction {direction} is not unit length")
+        if not any(d):
+            raise ParseError(f"axis direction {direction} is zero")
         self._set(d)
 
     @cached_property
-    def _basis(self) -> tuple[tuple[int, int, int], ...]:
+    def _basis(self) -> tuple[Vec3, Vec3, Vec3]:
         return _plane_basis(self)
 
 
@@ -233,22 +234,22 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def _dot(a: Vec3, b: Vec3) -> Fraction:
+def _dot(a: Vec3, b: Vec3) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _plane_basis(axis: ProjectionAxis) -> tuple[tuple[int, int, int], ...]:
-    """Right-handed basis (u, v, w) with w along the axis, u and v normal
-    to it, each scaled to integers: only signs are consumed downstream."""
-    w = axis.direction
+def _plane_basis(axis: ProjectionAxis) -> tuple[Vec3, Vec3, Vec3]:
+    """Right-handed integer basis (u, v, w): w the direction scaled to
+    integers, u = e_i x w for the unit vector e_i of w's smallest
+    component, and v = w x u.  Only signs are consumed downstream, and a
+    positive multiple of the direction gives a positive multiple of each
+    vector, so it projects alike."""
+    d = axis.direction
+    scale = lcm(*(x.denominator for x in d))
+    w = tuple(x.numerator * (scale // x.denominator) for x in d)
     i = min(range(3), key=lambda t: abs(w[t]))
-    e = tuple(Fraction(int(t == i)) for t in range(3))
-    u = _cross(e, w)
-    basis = []
-    for vec in (u, _cross(w, u), w):
-        scale = lcm(*(x.denominator for x in vec))
-        basis.append(tuple(int(x * scale) for x in vec))
-    return tuple(basis)
+    u = _cross(tuple(int(t == i) for t in range(3)), w)
+    return u, _cross(w, u), w
 
 
 def _sub(a: Vec3, b: Vec3) -> Vec3:

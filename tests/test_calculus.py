@@ -19,7 +19,13 @@ from haefliger.calculus import (
     smale_from_h,
     v_alternating,
 )
-from haefliger.diagram import CrossingDiagram, LiftId, crossing_change, make_diagram
+from haefliger.diagram import (
+    CrossingDiagram,
+    LiftId,
+    crossing_change,
+    diagram_from_dict,
+    make_diagram,
+)
 from haefliger.errors import (
     DuplicateIndex,
     HaefligerError,
@@ -27,7 +33,7 @@ from haefliger.errors import (
     IndexOutOfRange,
     ParseError,
 )
-from haefliger.generator import generator_diagram
+from haefliger.generator import BorromeanParams, generator_diagram
 
 from conftest import random_diagram, random_subset, wide_random_diagram
 from helpers import hopf_link, signed_pair_sum_oracle, torus_link_curves
@@ -497,3 +503,27 @@ def test_jacobian_det():
         assert jacobian_det(k) == -1
     with pytest.raises(IndexOutOfRange):
         jacobian_det(0)
+
+
+@pytest.mark.parametrize(
+    "k, error", [(0, IndexOutOfRange), (-2, IndexOutOfRange), (1.0, ParseError),
+                 (True, ParseError), ("1", ParseError), (None, ParseError)])
+def test_every_reader_of_k_refuses_alike(k, error):
+    # One check of k serves the diagram, its loader, the calculus and the
+    # generator: the same error everywhere, and one message for k < 1.
+    builds = [
+        lambda: CrossingDiagram(k, 0),
+        lambda: make_diagram(k, 2),
+        lambda: diagram_from_dict({"k": k, "m": 0}),
+        lambda: e_jump(HomotopyEvent("definite_tangency"), k),
+        lambda: jacobian_det(k),
+        lambda: generator_diagram(k),
+        lambda: BorromeanParams(alpha=4, beta=1, k=k),
+    ]
+    messages = set()
+    for build in builds:
+        with pytest.raises(error) as info:
+            build()
+        messages.add(str(info.value))
+    if error is IndexOutOfRange:
+        assert messages == {f"dimension parameter k={k} must be positive"}

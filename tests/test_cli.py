@@ -405,10 +405,19 @@ def test_lk_rejects_non_finite_coordinates(capsys, tmp_path):
     assert "components[0][2]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,1", "0,0,\u0661"])
+@pytest.mark.parametrize("axis", ["nan,0,1", "inf,0,1", "0,0,\u0661", "0,0,0", "0,-0.0,0e5"])
 def test_lk_rejects_bad_axis(capsys, tmp_path, axis):
     assert cli.run(["lk", write_hopf(tmp_path), "--axis", axis]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["lk", "writhe", "murai-ohba"])
+def test_a_scaled_axis_prints_what_the_unit_axis_prints(capsys, tmp_path, command):
+    # Only the axis's direction is read, so any positive scale of it will do.
+    path = write_hopf(tmp_path, 16)
+    outputs = [run_cli(capsys, "--format", "json", command, path, "--axis", axis)
+               for axis in ("0,0,1", "0,0,2", "0,0,1e6", "0,0,0.25")]
+    assert outputs[0][0] == 0 and outputs == outputs[:1] * 4
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from haefliger.diagram import (
     crossing_change,
     diagram_from_dict,
     diagram_to_dict,
-    lift_lt,
     make_diagram,
     pair_key,
 )
@@ -24,10 +23,12 @@ from conftest import random_diagram, random_subset, wide_random_diagram
 
 
 def test_lift_order():
-    assert lift_lt(LiftId(1, 1), LiftId(2, 0))
-    assert lift_lt(LiftId(3, 0), LiftId(3, 1))
-    assert not lift_lt(LiftId(3, 1), LiftId(3, 0))
-    assert not lift_lt(LiftId(2, 0), LiftId(2, 0))
+    # Lifts order as tuples: by crossing, then level 0 before level 1.
+    for a, b in [(LiftId(1, 1), LiftId(2, 0)), (LiftId(3, 0), LiftId(3, 1)),
+                 (LiftId(1, 0), LiftId(9, 1))]:
+        assert pair_key(a, b) == pair_key(b, a) == (a, b)
+    with pytest.raises(AsymmetricEntry):
+        pair_key(LiftId(2, 0), LiftId(2, 0))
 
 
 def test_pair_key_canonicalizes():
@@ -334,6 +335,23 @@ def test_from_dict_drops_zeros_and_rejects_repeats():
         diagram_from_dict({**doc, "lk": [zero_lk, zero_lk]})
     with pytest.raises(ParseError, match="duplicate writhe"):
         diagram_from_dict({**doc, "writhe": [zero_writhe, zero_writhe]})
+    assert d._columns == ([1], [1], [-2], -2, -1)
+    twin = {"i": zero_lk["j"], "ei": zero_lk["ej"], "j": zero_lk["i"], "ej": zero_lk["ei"],
+            "value": 3}
+    with pytest.raises(ParseError, match="duplicate lk"):
+        diagram_from_dict({**doc, "lk": [zero_lk, twin]})
+
+
+def test_from_dict_finds_a_repeat_at_any_level():
+    # Lifts order as tuples at every level, so a row and its reverse name
+    # one pair even where the level is outside 0/1, and the repeat is a
+    # ParseError, found before any range error.
+    row = {"i": 1, "ei": 5, "j": 1, "ej": 2, "value": 1}
+    reverse = {"i": 1, "ei": 2, "j": 1, "ej": 5, "value": 0}
+    with pytest.raises(ParseError, match="duplicate lk"):
+        diagram_from_dict({"k": 1, "m": 2, "lk": [row, reverse]})
+    with pytest.raises(IndexOutOfRange):
+        diagram_from_dict({"k": 1, "m": 2, "lk": [row]})
 
 
 ZERO_ROWS_OUT_OF_RANGE = [

@@ -1,4 +1,5 @@
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -134,10 +135,12 @@ def test_polycurve_refuses_what_is_not_a_list_of_points(points):
         PolyCurve(points)
 
 
-def test_projection_axis_must_be_unit():
-    with pytest.raises(ParseError):
-        ProjectionAxis((0, 0, 2))
-    ProjectionAxis((0, 1, 0))
+def test_projection_axis_takes_any_nonzero_direction():
+    for direction in [(0, 0, 2), (1, 1, 1), (3, 0, 4), (0, -0.5, Fraction(1, 3))]:
+        assert ProjectionAxis(direction).direction == tuple(map(Fraction, direction))
+    for zero in [(0, 0, 0), (0.0, -0.0, 0), (Fraction(0), Decimal(0), np.int64(0))]:
+        with pytest.raises(ParseError, match="is zero"):
+            ProjectionAxis(zero)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -199,9 +202,7 @@ def test_against_naive_oracle_and_quadrature(rng):
 def test_axis_independence(rng):
     m, n = hopf_link()
     for _ in range(5):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        assert linking_number_pl(m, n, ProjectionAxis(tuple(d))) == 1
+        assert linking_number_pl(m, n, ProjectionAxis(tuple(rng.normal(size=3)))) == 1
 
 
 def test_translation_invariance():
@@ -310,6 +311,56 @@ def test_lattice_links_get_the_value_of_generic_axes():
     assert degenerate >= links and linked >= 10
 
 
+def random_direction(gen):
+    """A nonzero integer direction with components in -3..3."""
+    while True:
+        d = tuple(gen.randint(-3, 3) for _ in range(3))
+        if any(d):
+            return d
+
+
+def test_a_scaled_axis_gives_the_same_linking_numbers_and_writhes(rng):
+    # Only an axis's direction is read: along c*d, c > 0, each link and
+    # curve gets what it gets along d, degenerate projections and
+    # CurvesIntersect included.  The lattice pairs use the dense finder,
+    # the random links (1296 segment pairs) numpy's sweep.
+    gen = random.Random(23)
+    pairs = [(lattice_polygon(gen), lattice_polygon(gen)) for _ in range(150)]
+    pairs += [random_link(rng) for _ in range(4)]
+    for m, n in pairs:
+        d = random_direction(gen)
+        axes = [ProjectionAxis(tuple(c * x for x in d)) for c in (1, 2, Fraction(1, 3), 10**6)]
+        for run in (lambda a: linking_number_pl(m, n, a), lambda a: writhe_pl(m, a),
+                    lambda a: writhe_pl(n, a)):
+            values = [outcome(run, axis) for axis in axes]
+            assert values == values[:1] * 4, (m, n, d)
+
+
+def is_positive_multiple(a, b) -> bool:
+    """Whether a = c*b for some c > 0; b is nonzero."""
+    c = next(Fraction(x) / y for x, y in zip(a, b) if y)
+    return c > 0 and all(x == c * y for x, y in zip(a, b))
+
+
+def test_plane_basis_is_a_positive_multiple_of_the_rational_basis():
+    # Each integer vector is a positive multiple of the oracle's rational
+    # one, on unit and non-unit directions alike, so every determinant
+    # sign, and with it every crossing decision, is the oracle basis's.
+    gen = random.Random(31)
+    directions = [(0, 0, 1), (0, 0, 2), (1, 1, 1), (-3, 0, 4), (0.6, 0, 0.8), (2, -2, 1)]
+    for _ in range(300):
+        g = np.array([gen.gauss(0, 1) for _ in range(3)])
+        directions += [tuple(g), tuple(g / np.linalg.norm(g)), random_direction(gen),
+                       tuple(Fraction(gen.randint(-9, 9), gen.randint(1, 9)) for _ in g)]
+    for direction in directions:
+        if not any(direction):
+            continue
+        basis = _plane_basis(ProjectionAxis(direction))
+        assert all(type(x) is int for vec in basis for x in vec)
+        for vec, exact in zip(basis, plane_basis_oracle(direction)):
+            assert is_positive_multiple(vec, exact), direction
+
+
 @pytest.mark.parametrize(
     "points, writhe",
     [
@@ -326,7 +377,7 @@ def test_writhe_of_a_degenerate_projection_is_the_value_of_nearby_axes(points, w
     assert writhe_pl(curve) == writhe
     for _ in range(20):
         d = np.array([0.0, 0.0, 1.0]) + 1e-7 * rng.normal(size=3)
-        assert writhe_pl(curve, ProjectionAxis(tuple(d / np.linalg.norm(d)))) == writhe
+        assert writhe_pl(curve, ProjectionAxis(tuple(d))) == writhe
 
 
 def test_writhe_of_a_vertex_over_a_non_adjacent_edge_is_the_value_of_the_tilt():
@@ -336,7 +387,7 @@ def test_writhe_of_a_vertex_over_a_non_adjacent_edge_is_the_value_of_the_tilt():
     assert _plane_basis(EZ)[0] == (0, -1, 0)
     assert writhe_pl(curve) == 0
     # Tilted towards +y the last edge crosses the first, towards -y not.
-    tilts = [ProjectionAxis((0, t / np.hypot(t, 1), 1 / np.hypot(t, 1))) for t in (1e-3, -1e-3)]
+    tilts = [ProjectionAxis((0, t, 1)) for t in (1e-3, -1e-3)]
     assert [writhe_pl(curve, axis) for axis in tilts] == [1, 0]
 
 
@@ -705,8 +756,8 @@ _values = st.sampled_from(
 _points = st.tuples(_values, _values, _values)
 _stretches = st.sampled_from([Fraction(x) for x in (-2, -1, -1 / 2, 0, 1 / 2, 1, 3 / 2, 2, 3)])
 _directions = st.sampled_from([
-    (0, 0, 1), (0, 1, 0), (-1, 0, 0), (0.6, 0, 0.8), (0, -0.8, 0.6),
-    tuple(float(x) for x in np.array([1.0, -2.0, 3.0]) / np.sqrt(14.0)),
+    (0, 0, 1), (0, 1, 0), (-1, 0, 0), (0.6, 0, 0.8), (0, -0.8, 0.6), (1, -2, 3),
+    (0, 0, 2), (1, 1, 1), (Fraction(1, 3), Fraction(-2, 7), 5),
 ])
 
 
@@ -983,8 +1034,7 @@ def test_circle_refuses_a_bad_count_or_radius(arguments, error):
 BIG = 10**400
 
 # The one number rule at every reader of a real input.  A reader refuses
-# a value with the rule's ParseError; an axis that is not unit length is
-# refused for its length, after its numbers were read.
+# a value with the rule's ParseError.
 _READERS = {
     "PolyCurve coordinate": lambda v: PolyCurve([(v, 0, 0), (0, 1, 0), (0, 0, 1)]),
     "translated offset": lambda v: hopf_link(8)[0].translated((0, v, 0)),
@@ -1000,8 +1050,8 @@ _READERS = {
 def _reads(build, value) -> bool:
     try:
         build(value)
-    except ParseError as exc:
-        return "unit length" in str(exc)
+    except ParseError:
+        return False
     return True
 
 
@@ -1028,20 +1078,42 @@ def test_every_reader_accepts_and_refuses_the_same_numbers(value, accepted):
         lambda: PolyCurve([(0, 0, 0), (1, 0, 0), (0, 1, 0)]).translated((0, 0, BIG)),
         lambda: PolyCurve([(1e308, 0, 0), (0, 1, 0), (0, 0, 1)]).translated((1e308, 0, 0)),
         lambda: ProjectionAxis((BIG, 0, 0)),
+        lambda: PolyCurve([(0, 0, Fraction(1, BIG)), (1, 0, 0), (0, 1, 0)]),
+        lambda: PolyCurve([(0, 0, 0), (1, 0, Decimal("2e-324")), (0, 1, 0)]),
+        lambda: ProjectionAxis((0, 0, Decimal("-1e-400"))),
     ],
     ids=["int", "-2**1024", "Fraction", "Decimal", "translated int", "translated float",
-         "axis"],
+         "axis", "Fraction below", "Decimal below", "axis below"],
 )
 def test_coordinates_beyond_the_float_range_are_refused_at_construction(build):
+    # A nonzero number whose float is 0.0 is refused as one beyond the
+    # largest float is.
     with pytest.raises(ParseError):
         build()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Decimal("1e-1000000"), Decimal("-1e-10000000"), Decimal("1e100000"),
+     Decimal("1e10000000")],
+    ids=["1e-1000000", "-1e-10000000", "1e100000", "1e10000000"],
+)
+def test_decimals_far_outside_the_float_range_are_refused_before_their_ratio_is_built(value):
+    # A Decimal's exponent is judged first: its ratio would hold
+    # 10**|exponent|, about 14 s to build for 1e-10000000.
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="float range"):
+        PolyCurve([(value, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_coordinates_up_to_the_float_range_build_and_link():
     top = int(np.finfo(float).max)
     curve = PolyCurve([(top, 0, 0), (0, top, 0), (-top, -top, 1)])
     assert curve.as_array()[0, 0] == np.finfo(float).max
-    assert PolyCurve([(0, 0, Fraction(1, BIG)), (1, 0, 0), (0, 1, 0)]).as_array()[0, 2] == 0
+    tiny = PolyCurve([(0, 0, Decimal("5e-324")), (Decimal("1.7e308"), 0, 0), (0, 1, 0)])
+    assert tiny.as_array()[0, 2] == 5e-324 and tiny.as_array()[1, 0] == 1.7e308
+    assert PolyCurve([(0, 0, Decimal("0e-1000000")), (1, 0, 0), (0, 1, 0)])._scale == 1
     c1, c2 = (c.translated((top // 2, 0, 0)) for c in hopf_link(8))
     assert linking_number_pl(c1, c2) == 1 and writhe_pl(c1) == 0
 

@@ -147,3 +147,46 @@ def test_generator_imports_nothing_from_math():
     # the cross-sections inexactly planar again.
     path = next(p for p in SOURCES if p.name == "generator.py")
     assert imports_of(path, "math") == []
+
+
+FLOAT_FUNCTIONS = {"circle", "_box_pairs", "_resample", "gauss_linking_quadrature"}
+
+
+def float_literals(tree: ast.Module, allowed: set[str]) -> list[int]:
+    """Lines of float literals outside the functions named in ``allowed``."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name in allowed
+        if isinstance(node, ast.Constant) and type(node.value) is float and not inside:
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_float_literals_live_only_in_the_float_functions():
+    # Every geometric decision is exact: a float constant elsewhere would
+    # be a tolerance, or a value taken approximately.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in float_literals(ast.parse(path.read_text(), filename=str(path)),
+                                   FLOAT_FUNCTIONS)
+    ]
+    assert SOURCES and found == []
+
+
+def test_float_literal_rule_sees_every_place():
+    source = (
+        "X = 1.0\n"
+        "def circle(r=0.0):\n    return 2.0 * r\n"
+        "def f(x=0.5):\n    return x\n"
+        "class A:\n    eps = 1e-12\n    def circle(self):\n        return 3.0\n"
+        "def g():\n    def circle():\n        return 4.0\n    return 5.0\n"
+        "Y = 1\n"
+    )
+    assert float_literals(ast.parse(source), FLOAT_FUNCTIONS) == [1, 4, 7, 13]
