@@ -240,9 +240,10 @@ def v2(diagram: GaussDiagramK) -> int:
 # --- Conway polynomial oracle ----------------------------------------------
 
 # A link code is a tuple of components; each component is a tuple of
-# (label, 'O' | 'U') tokens in traversal order.  Signs map labels to +-1.
-LinkCode = tuple[tuple[tuple[str, str], ...], ...]
-Signs = tuple[tuple[str, int], ...]
+# (label, over, sign) tokens in traversal order, one token per passage:
+# ``over`` is True at the over-passage, and both tokens of a crossing
+# carry its sign, +1 or -1.
+LinkCode = tuple[tuple[tuple[str, bool, int], ...], ...]
 
 Poly = tuple[int, ...]  # coefficients, index = degree in z
 
@@ -263,24 +264,23 @@ def _poly_mul_z(a: Poly) -> Poly:
     return (0, *a) if a else ZERO
 
 
-def _first_violation(link: LinkCode) -> tuple[int, int] | None:
-    """First crossing met under-first in the global traversal, or None."""
+def _first_violation(link: LinkCode) -> tuple[str, bool, int] | None:
+    """Token of the first crossing met under-first in the global
+    traversal, which carries its label and sign, or None."""
     seen: set[str] = set()
-    for ci, comp in enumerate(link):
-        for ti, (label, kind) in enumerate(comp):
-            if label in seen:
+    for comp in link:
+        for token in comp:
+            if token[0] in seen:
                 continue
-            seen.add(label)
-            if kind == "U":
-                return ci, ti
+            seen.add(token[0])
+            if not token[1]:
+                return token
     return None
 
 
 def _switch_link(link: LinkCode, label: str) -> LinkCode:
-    return tuple(
-        tuple((l, ("U" if k == "O" else "O") if l == label else k) for l, k in comp)
-        for comp in link
-    )
+    return tuple(tuple((l, not over, -sign) if l == label else (l, over, sign)
+                       for l, over, sign in comp) for comp in link)
 
 
 def _smooth_link(link: LinkCode, label: str) -> LinkCode:
@@ -288,8 +288,8 @@ def _smooth_link(link: LinkCode, label: str) -> LinkCode:
     hits = [
         (ci, ti)
         for ci, comp in enumerate(link)
-        for ti, (l, _) in enumerate(comp)
-        if l == label
+        for ti, token in enumerate(comp)
+        if token[0] == label
     ]
     (c1, t1), (c2, t2) = hits
     if c1 == c2:
@@ -304,27 +304,20 @@ def _smooth_link(link: LinkCode, label: str) -> LinkCode:
     return rest + (merged,)
 
 
-def _conway(
-    link: LinkCode, signs: Signs, memo: dict[tuple[LinkCode, Signs], Poly]
-) -> Poly:
-    key = (link, signs)
-    if key in memo:
-        return memo[key]
+def _conway(link: LinkCode, memo: dict[LinkCode, Poly]) -> Poly:
+    """Skein step at the first under-first crossing, of sign s:
+    ∇(link) = ∇(switched) + s·z·∇(smoothed), memoized by the link alone."""
+    if link in memo:
+        return memo[link]
     violation = _first_violation(link)
     if violation is None:
         # Descending: an unknot if connected, a split link otherwise.
         return ONE if len(link) <= 1 else ZERO
-    ci, ti = violation
-    label = link[ci][ti][0]
-    sign = dict(signs)[label]
-    switched = _switch_link(link, label)
-    smoothed = _smooth_link(link, label)
-    flipped = tuple((l, s if l != label else -s) for l, s in signs)
-    kept = tuple((l, s) for l, s in signs if l != label)
-    switched_poly = _conway(switched, flipped, memo)
-    smoothed_poly = _conway(smoothed, kept, memo)
+    label, _, sign = violation
+    switched_poly = _conway(_switch_link(link, label), memo)
+    smoothed_poly = _conway(_smooth_link(link, label), memo)
     poly = _poly_add(switched_poly, _poly_mul_z(smoothed_poly), scale=sign)
-    memo[key] = poly
+    memo[link] = poly
     return poly
 
 
@@ -335,13 +328,12 @@ def conway_polynomial(diagram: GaussDiagramK) -> Poly:
     lives for this call only, so nothing stays allocated after it returns.
     """
     component = tuple(
-        (a.label, "O" if p == a.over else "U")
+        (a.label, p == a.over, a.sign)
         for p, a in sorted(
             (p, a) for a in diagram.arrows for p in (a.over, a.under)
         )
     )
-    signs = tuple(sorted((a.label, a.sign) for a in diagram.arrows))
-    return _conway((component,), signs, {})
+    return _conway((component,), {})
 
 
 def conway_a2_oracle(diagram: GaussDiagramK) -> int:

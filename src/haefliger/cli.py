@@ -61,32 +61,21 @@ EXIT_CODES = {
 GENERIC_ERROR = 15
 
 
-def _rational(value) -> dict:
-    frac = Fraction(value)
-    return {"num": frac.numerator, "den": frac.denominator}
-
-
-def _format_value(value):
+def _rational(value):
     if isinstance(value, Fraction):
-        return _rational(value)
+        return {"num": value.numerator, "den": value.denominator}
     return value
 
 
 def emit_report(result: dict, as_json: bool) -> str:
-    """Render a result mapping as stable JSON or aligned human text."""
-    rendered = {k: _format_value(v) for k, v in result.items()}
+    """Render a result mapping as stable JSON or aligned human text.
+
+    A Fraction prints as p/q, or p when q = 1, in human mode.
+    """
     if as_json:
+        rendered = {k: _rational(v) for k, v in result.items()}
         return json.dumps(rendered, sort_keys=True, separators=(",", ":"))
-    lines = []
-    for key in sorted(rendered):
-        value = rendered[key]
-        if isinstance(value, dict) and set(value) == {"num", "den"}:
-            if value["den"] == 1:
-                value = str(value["num"])
-            else:
-                value = f"{value['num']}/{value['den']}"
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines)
+    return "\n".join(f"{key}: {result[key]}" for key in sorted(result))
 
 
 def _read_text(path: str) -> str:
@@ -110,6 +99,9 @@ def _load_json(path: str) -> dict:
 
 
 def _axis(arg: str | None) -> linking.ProjectionAxis:
+    """The --axis direction, each decimal read exactly."""
+    from decimal import Decimal
+
     from . import linking
 
     if arg is None:
@@ -117,7 +109,7 @@ def _axis(arg: str | None) -> linking.ProjectionAxis:
     parts = arg.split(",")
     if len(parts) != 3 or not all(_DECIMAL.fullmatch(x) for x in parts):
         raise ParseError(f"bad axis {arg!r}: need three ASCII decimal numbers")
-    return linking.ProjectionAxis(tuple(float(x) for x in parts))
+    return linking.ProjectionAxis(tuple(Decimal(x) for x in parts))
 
 
 # Numbers in flags are ASCII only: int(), float() and Fraction() alone

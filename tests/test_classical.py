@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -170,6 +171,53 @@ def test_conway_mirror_of_knot_with_symmetric_polynomial():
     g = parse_gauss_code(TREFOIL)
     mirrored = switch(g, {a.label for a in g.arrows})
     assert conway_polynomial(mirrored) == conway_polynomial(g)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_conway_polynomial_of_the_two_strand_torus_knots(n):
+    # Closed form: the Conway polynomial of T(2, 2m+1) is the sum over j
+    # of C(m+j, 2j) z^(2j).  A knot's polynomial is even, so its mirror
+    # (every crossing switched) has the same one.
+    m = n // 2
+    expected = tuple(comb(m + d // 2, d) if d % 2 == 0 else 0 for d in range(2 * m + 1))
+    g = parse_gauss_code(torus_knot_code(n))
+    assert conway_polynomial(g) == expected
+    assert conway_polynomial(switch(g, {a.label for a in g.arrows})) == expected
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_conway_polynomial_is_multiplicative_under_connected_sum(rng):
+    # Every coefficient, not only z^2: the polynomial of K1 # K2 is the
+    # product of the two, on random braid closures of at most 8 generators.
+    # The recursion on a sum costs about the product of its summands'
+    # costs (one sum of 5 + 8 crossings took 3 s), so a sum has at most 12.
+    def closure():
+        while True:
+            strands = int(rng.integers(2, 5))
+            word = [int(g) * int(rng.choice((-1, 1)))
+                    for g in rng.integers(1, strands, size=int(rng.integers(1, 9)))]
+            try:
+                return braid_closure_code(word, strands), len(word)
+            except ValueError:  # the closure is a link, not a knot
+                continue
+
+    pairs = 0
+    while pairs < 12:
+        (code1, n1), (code2, n2) = closure(), closure()
+        if n1 + n2 > 12:
+            continue
+        pairs += 1
+        summed = parse_gauss_code(connect_sum_code(code1, code2))
+        assert conway_polynomial(summed) == _poly_product(
+            conway_polynomial(parse_gauss_code(code1)),
+            conway_polynomial(parse_gauss_code(code2)))
 
 
 def test_oracle_rejects_nonrealizable():

@@ -411,13 +411,27 @@ def test_lk_rejects_bad_axis(capsys, tmp_path, axis):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("axis", ["1e-400,0,1", "1e-400,0,0"])
+def test_an_axis_component_below_the_float_range_is_refused_not_zeroed(capsys, tmp_path, axis):
+    # Read as a float, 1e-400 would be 0: the first axis would pass as
+    # 0,0,1 and the second would be called zero although it is not.
+    assert cli.run(["lk", write_hopf(tmp_path, 16), "--axis", axis]) == 2
+    err = capsys.readouterr().err
+    assert "1E-400" in err and "is zero" not in err
+
+
+def test_an_axis_is_read_exactly():
+    assert cli._axis("0.6,0,0.8").direction == (Fraction(3, 5), 0, Fraction(4, 5))
+
+
 @pytest.mark.parametrize("command", ["lk", "writhe", "murai-ohba"])
 def test_a_scaled_axis_prints_what_the_unit_axis_prints(capsys, tmp_path, command):
     # Only the axis's direction is read, so any positive scale of it will do.
     path = write_hopf(tmp_path, 16)
-    outputs = [run_cli(capsys, "--format", "json", command, path, "--axis", axis)
-               for axis in ("0,0,1", "0,0,2", "0,0,1e6", "0,0,0.25")]
-    assert outputs[0][0] == 0 and outputs == outputs[:1] * 4
+    for axes in (("0,0,1", "0,0,2", "0,0,1e6", "0,0,0.25"), ("3,0,4", "0.6,0,0.8")):
+        outputs = [run_cli(capsys, "--format", "json", command, path, "--axis", axis)
+                   for axis in axes]
+        assert outputs[0][0] == 0 and outputs == outputs[:1] * len(axes)
 
 
 @pytest.mark.parametrize(

@@ -190,3 +190,40 @@ def test_float_literal_rule_sees_every_place():
         "Y = 1\n"
     )
     assert float_literals(ast.parse(source), FLOAT_FUNCTIONS) == [1, 4, 7, 13]
+
+
+# The Conway oracle checks v2, so it must not reach the X-pairing's code.
+PAIRING_NAMES = {"x_pairing", "v2", "_interleaved", "descending_set", "switch"}
+ORACLE_SECTION = "# --- Conway polynomial oracle"
+
+
+def pairing_names_in_oracle(source: str) -> list[str]:
+    """``function:name`` for each pairing name that a function defined
+    below the oracle section's heading reads, as a name or an attribute."""
+    heading = source[: source.index(ORACLE_SECTION)].count("\n") + 1
+    return [
+        f"{node.name}:{name}"
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.lineno > heading
+        for sub in ast.walk(node)
+        for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
+        if name in PAIRING_NAMES
+    ]
+
+
+def test_the_conway_oracle_shares_no_code_with_the_pairing():
+    path = next(p for p in SOURCES if p.name == "classical.py")
+    assert pairing_names_in_oracle(path.read_text()) == []
+
+
+def test_pairing_name_rule_sees_every_use():
+    source = (
+        "def v2(g):\n    return x_pairing(g)\n"
+        f"{ORACLE_SECTION} ---\n"
+        "def _switch_link(link, label):\n    return link\n"
+        "def a(g):\n    return v2(g)\n"
+        "def b(g):\n    def inner():\n        return classical.switch(g, ())\n    return inner\n"
+        "async def c(g):\n    f = descending_set\n    return _interleaved(x_pairing, f)\n"
+    )
+    assert pairing_names_in_oracle(source) == [
+        "a:v2", "b:switch", "c:descending_set", "c:_interleaved", "c:x_pairing"]
