@@ -87,7 +87,7 @@ def _loop(corners: list[tuple[int, int, int]], h: int) -> PolyCurve:
     for (x, y, z), (x1, y1, z1) in zip(corners, corners[1:] + corners[:1]):
         dx, dy, dz = (x1 - x) // h, (y1 - y) // h, (z1 - z) // h
         points += [(x + t * dx, y + t * dy, z + t * dz) for t in range(h)]
-    return PolyCurve(points)
+    return PolyCurve._from_grid(1, tuple(points))
 
 
 def generator_double_point_curves(
@@ -118,6 +118,9 @@ def generator_double_point_curves(
     d = alpha.denominator
     s = d * Fraction(d, beta.denominator).denominator * 2 * h
     a, b = int(alpha * s), int(beta * s)
+    # No coordinate is larger than sphere Z's outermost section corner,
+    # so reading that one by the number rule keeps every one in range.
+    _ratio(18 * a + 2 * b + 1)
 
     def fiber(sign: int, ox: int) -> PolyCurve:
         r, z = 2 * a + sign * b, sign * b

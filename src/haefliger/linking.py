@@ -16,7 +16,9 @@ predicates are division-free and run on one integer grid for all curves
 of a call (the lcm of their denominators; a power of two for float
 input).  A curve stores its vertices as such a grid, built once when it
 is constructed; its ``Fraction`` vertices and its float array are made on
-first use.
+first use.  A grid the library makes itself (the generator's integer
+circles, a reversed or moved curve) goes onto the curve as it is, with
+no coordinate read again.
 
 Every real input of the geometric layer, from a vertex coordinate to the
 generator's radii, is read by one rule, ``_ratio``; anything it refuses
@@ -36,11 +38,11 @@ projections of every segment of the set.
 ``writhe_pl`` counts a curve's own crossings with the same predicate along
 the same tilted axis, so no projection is refused anywhere.
 
-numpy is imported only inside the five float functions: ``_array``,
-``_project``, ``_box_pairs``, ``_resample`` and
-``gauss_linking_quadrature``.  Building and writing curves needs none of
-it, so ``import haefliger``, the pure-arithmetic commands and the linking
-numbers and writhes of small curves never load it.
+numpy is imported only inside the four float functions: ``_array``,
+``_box_pairs``, ``_resample`` and ``gauss_linking_quadrature``.  Building
+and writing curves needs none of it, so ``import haefliger``, the
+pure-arithmetic commands and the linking numbers and writhes of small
+curves never load it.
 
 Crossing sign convention: the sign of a crossing is the orientation of
 the frame (over-strand tangent, under-strand tangent, projection axis),
@@ -53,8 +55,8 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
-from math import cos, inf, lcm, pi, sin, sqrt
+from itertools import accumulate, combinations, repeat
+from math import cos, gcd, inf, lcm, pi, sin, sqrt
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -67,6 +69,8 @@ if TYPE_CHECKING:
 # A vertex on a call's integer grid, as the exact predicates take it.
 Vec3 = tuple[int, int, int]
 Segment = tuple[Vec3, Vec3]
+# A segment's ends on its curve's grid, and the factor onto the call's.
+GridSegment = tuple[Vec3, Vec3, int]
 
 _MEET = "curves meet in R^3; not a valid link"
 
@@ -117,12 +121,13 @@ class PolyCurve(Record):
     of the coordinates' reduced denominators) and every vertex times D as
     an int triple, so crossing predicates are error-free.  The grid is
     canonical, so equality and hashing run on it and agree with comparing
-    the rational vertices.  Every coordinate is read by ``_ratio``; a point
-    of three floats, or of three ints well inside the float range, is read
-    inline, without a call per coordinate.  A bad point raises
-    ParseError("[i]: bad point ..."), i its index.  ``vertices`` (as
-    Fractions) and the float array are made on first use and cached
-    outside the fields.
+    the rational vertices.  Every coordinate given to the constructor is
+    read by ``_ratio``; a point of three floats, or of three ints well
+    inside the float range, is read inline, without a call per coordinate
+    (a grid the library made itself skips the reading: ``_from_grid``).
+    A bad point raises ParseError("[i]: bad point ..."), i its index.
+    ``vertices`` (as Fractions) and the float array are made on first use
+    and cached outside the fields.
     """
 
     _scale: int
@@ -147,13 +152,27 @@ class PolyCurve(Record):
         except (TypeError, ValueError, OverflowError, ParseError) as exc:  # no triple, a bad number
             at = "" if point is points else f"[{len(ratios) // 3}]: "
             raise ParseError(f"{at}bad point {point!r}: {exc}") from exc
-        if len(ratios) < 9:
-            raise ParseError("a closed curve needs at least 3 vertices")
         dens = {d for _, d in ratios}
         scale = lcm(*dens)
         factor = {d: scale // d for d in dens}
         ints = [n * factor[d] for n, d in ratios]
-        grid = tuple(zip(ints[0::3], ints[1::3], ints[2::3]))
+        self._assign(scale, tuple(zip(ints[0::3], ints[1::3], ints[2::3])))
+
+    @classmethod
+    def _from_grid(cls, scale: int, grid: tuple[Vec3, ...]) -> PolyCurve:
+        """A curve of a grid that library code made itself, never of user
+        input.  Its contract: ``scale`` is a positive int, ``grid`` a tuple
+        of int triples, gcd(scale, every coordinate) = 1 (the canonical
+        grid), and every coordinate over ``scale`` is a number ``_ratio``
+        accepts.  Only the vertex count and coinciding neighbours are
+        checked, as the constructor checks them."""
+        curve = object.__new__(cls)
+        curve._assign(scale, grid)
+        return curve
+
+    def _assign(self, scale: int, grid: tuple[Vec3, ...]) -> None:
+        if len(grid) < 3:
+            raise ParseError("a closed curve needs at least 3 vertices")
         for a, b in zip(grid, grid[1:] + grid[:1]):
             if a == b:
                 raise ParseError("consecutive vertices coincide")
@@ -178,11 +197,27 @@ class PolyCurve(Record):
         )
 
     def reversed(self) -> "PolyCurve":
-        return PolyCurve(self.vertices[::-1])
+        return PolyCurve._from_grid(self._scale, self._grid[::-1])
 
     def translated(self, offset) -> "PolyCurve":
-        dx, dy, dz = (Fraction(n, d) for n, d in _point(offset))
-        return PolyCurve([(x + dx, y + dy, z + dz) for x, y, z in self.vertices])
+        """The curve moved by ``offset``, read by ``_ratio``.  The shifted
+        grid is made canonical again, and its largest and smallest nonzero
+        coordinates are read by ``_ratio`` too, so a moved coordinate
+        beyond the float range, or nonzero with a float of 0.0, raises
+        ParseError as it would at construction."""
+        ratios = _point(offset)
+        scale = lcm(self._scale, *(d for _, d in ratios))
+        f = scale // self._scale
+        dx, dy, dz = (n * (scale // d) for n, d in ratios)
+        grid = [(x * f + dx, y * f + dy, z * f + dz) for x, y, z in self._grid]
+        sizes = [abs(x) for p in grid for x in p]
+        g = gcd(scale, *sizes)
+        if g > 1:
+            scale //= g
+            grid = [(x // g, y // g, z // g) for x, y, z in grid]
+        for size in (max(sizes), min(x for x in sizes if x)):
+            _ratio(Fraction(size // g, scale))
+        return PolyCurve._from_grid(scale, tuple(grid))
 
     def as_array(self) -> np.ndarray:
         """The vertices as an (n, 3) float array, converted once and read-only."""
@@ -323,24 +358,25 @@ def _segment_crossings(seg1: Segment, seg2: Segment, basis) -> int:
     return -1 if side > 0 else 1
 
 
-def _on_one_grid(curves: Sequence[PolyCurve]) -> list[Segment]:
-    """Every segment of the curves, in order, in integers on the lcm of
-    their grids (curves off it are rescaled, by a power of two for floats)."""
+def _on_one_grid(curves: Sequence[PolyCurve]) -> list[GridSegment]:
+    """Every segment of the curves, in order, as its two ends on its
+    curve's grid and the factor that puts them on the lcm of the curves'
+    grids (a power of two for floats); ``_scaled`` applies it, so only the
+    segments a call reads are rescaled."""
     scale = lcm(*(c._scale for c in curves))
     segs = []
     for c in curves:
-        f = scale // c._scale
-        verts = c._grid if f == 1 else tuple((x * f, y * f, z * f) for x, y, z in c._grid)
-        segs.extend(zip(verts, verts[1:] + verts[:1]))
+        grid = c._grid
+        segs += zip(grid, grid[1:] + grid[:1], repeat(scale // c._scale))
     return segs
 
 
-def _project(points: np.ndarray, basis) -> np.ndarray:
-    """Float coordinates of the points in the (u, v) projection plane."""
-    import numpy as np
-
-    rows = [[x / max(map(abs, vec)) for x in vec] for vec in basis[:2]]
-    return points @ np.array(rows).T
+def _scaled(seg: GridSegment) -> Segment:
+    """The segment's ends on the call's one grid."""
+    p, q, f = seg
+    if f == 1:
+        return p, q
+    return (p[0] * f, p[1] * f, p[2] * f), (q[0] * f, q[1] * f, q[2] * f)
 
 
 def _box_pairs(arrays: Sequence[np.ndarray], basis) -> list[tuple[int, int]]:
@@ -349,37 +385,43 @@ def _box_pairs(arrays: Sequence[np.ndarray], basis) -> list[tuple[int, int]]:
     order.
 
     Takes (n, 3) float vertex arrays and projects them along ``basis``.
-    Boxes are sorted by their low end on the wider axis, ``searchsorted``
-    finds the boxes starting inside each, and those pairs are compared on
-    both axes.  The margin, 1e-7 of the set's largest 3D coordinate (the
-    float error of a projected point is relative to it, however small its
-    projection), keeps every pair whose exact projected boxes touch.
+    The boxes' bounds are held as four 1-D columns, low and high along the
+    wider axis and across it.  Boxes are sorted by their low end on the
+    wider axis and ``searchsorted`` finds the boxes starting inside each,
+    so those pairs overlap along it and are compared across it only.  The
+    margin, 1e-7 of the set's largest 3D coordinate (the float error of a
+    projected point is relative to it, however small its projection),
+    keeps every pair whose exact projected boxes touch.
     """
     import numpy as np
 
     margin = 1e-7 * max(float(np.abs(p).max()) for p in arrays)
-    arrays = [_project(p, basis) for p in arrays]
-    pts = np.concatenate(arrays)
-    ends = np.concatenate([np.roll(p, -1, axis=0) for p in arrays])
-    owner = np.repeat(np.arange(len(arrays)), [len(p) for p in arrays])
+    rows = np.array([[x / max(map(abs, vec)) for x in vec] for vec in basis[:2]])
+    pts = rows @ np.concatenate(arrays).T  # the (u, v) rows of every vertex
+    sizes = [len(p) for p in arrays]
+    firsts = np.cumsum(sizes) - sizes
+    nxt = np.arange(1, len(pts[0]) + 1)  # each segment's second vertex
+    nxt[firsts + sizes - 1] = firsts
+    ends = pts[:, nxt]
     lo = np.minimum(pts, ends)
     hi = np.maximum(pts, ends) + margin
-    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
-    order = np.argsort(lo[:, axis], kind="stable")
-    lo, hi, owner = lo[order], hi[order], owner[order]
-    after = np.arange(1, len(lo) + 1)
-    count = np.searchsorted(lo[:, axis], hi[:, axis], side="right") - after
+    axis = int(np.argmax(hi.max(axis=1) - lo.min(axis=1)))
+    order = np.argsort(lo[axis], kind="stable")
+    lo_s, hi_s, lo_c, hi_c = (b[k, order] for k in (axis, 1 - axis) for b in (lo, hi))
+    after = np.arange(1, len(order) + 1)
+    count = np.searchsorted(lo_s, hi_s, side="right") - after
     i = np.repeat(after - 1, count)
     j = np.arange(len(i)) + np.repeat(after - np.cumsum(count) + count, count)
-    keep = ((lo[i] <= hi[j]) & (lo[j] <= hi[i])).all(axis=1)
+    keep = (lo_c[i] <= hi_c[j]) & (lo_c[j] <= hi_c[i])
     if len(arrays) > 1:
+        owner = np.repeat(np.arange(len(arrays)), sizes)[order]
         keep &= owner[i] != owner[j]
     a, b = order[i[keep]], order[j[keep]]
     return list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 def _touching_pairs(
-    segs: Sequence[Segment], sizes: Sequence[int], basis
+    segs: Sequence[GridSegment], sizes: Sequence[int], basis
 ) -> list[tuple[int, int]]:
     """Pairs a < b of segments whose exact projected boxes touch, on
     distinct polylines of the given sizes (or, given one size, on it),
@@ -391,8 +433,8 @@ def _touching_pairs(
     (u0, u1, u2), (v0, v1, v2) = basis[:2]
     boxes, firsts = [], []  # firsts: the first segment each one is compared with
     for end, size in zip(accumulate(sizes), sizes):
-        ring = [(u0 * x + u1 * y + u2 * z, v0 * x + v1 * y + v2 * z)
-                for (x, y, z), _ in segs[end - size:end]]
+        ring = [(f * (u0 * x + u1 * y + u2 * z), f * (v0 * x + v1 * y + v2 * z))
+                for (x, y, z), _, f in segs[end - size:end]]
         for (a, c), (b, d) in zip(ring, ring[1:] + ring[:1]):
             if b < a:
                 a, b = b, a
@@ -410,7 +452,7 @@ def _touching_pairs(
 
 
 def _candidates(
-    curves: Sequence[PolyCurve], segs: Sequence[Segment], basis
+    curves: Sequence[PolyCurve], segs: Sequence[GridSegment], basis
 ) -> list[tuple[int, int]]:
     """The segment pairs for the crossing predicate: ``_touching_pairs``
     for a call of at most ``_DENSE_PAIRS`` pairs, else ``_box_pairs``."""
@@ -446,7 +488,8 @@ def linking_matrix(
     owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
     totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
     for a, b in _candidates(curves, segs, basis):
-        totals[owner[a], owner[b]] += _segment_crossings(segs[a], segs[b], basis)
+        totals[owner[a], owner[b]] += _segment_crossings(
+            _scaled(segs[a]), _scaled(segs[b]), basis)
     if any(total % 2 for total in totals.values()):
         raise HaefligerError("odd signed crossing count of two closed curves")
     return {key: total // 2 for key, total in totals.items()}
@@ -470,7 +513,7 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     """
     basis = axis._basis
     segs = _on_one_grid([curve])
-    for (p0, p1), (_, p2) in zip(segs, segs[1:] + segs[:1]):
+    for (p0, p1, _), (_, p2, _) in zip(segs, segs[1:] + segs[:1]):
         d1, d2 = _sub(p1, p0), _sub(p2, p1)
         if _cross(d1, d2) == (0, 0, 0) and _dot(d1, d2) < 0:
             raise CurvesIntersect("a curve folds back along an edge")
@@ -478,7 +521,7 @@ def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
     try:
         for i, j in _candidates([curve], segs, basis):
             if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
-                total += _segment_crossings(segs[i], segs[j], basis)
+                total += _segment_crossings(_scaled(segs[i]), _scaled(segs[j]), basis)
     except CurvesIntersect:
         raise CurvesIntersect("a curve meets itself in R^3") from None
     return total

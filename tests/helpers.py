@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from haefliger.errors import CurvesIntersect, ParseError
-from haefliger.linking import PolyCurve, _project, _segments_meet, circle, linking_matrix
+from haefliger.linking import PolyCurve, _segments_meet, circle, linking_matrix
 
 
 def braid_closure_code(word, strands):
@@ -294,11 +294,19 @@ def signed_pair_sum_oracle(d, switched=frozenset()):
     return total
 
 
-def dense_box_pairs(pts1, pts2, basis):
+def _project(points, basis):
+    """Float coordinates of the points in the (u, v) projection plane."""
+    rows = [[x / max(map(abs, vec)) for x in vec] for vec in basis[:2]]
+    return points @ np.array(rows).T
+
+
+def dense_box_pairs(pts1, pts2, basis, margin=None):
     """Index pairs of segments of two closed polylines whose projected boxes
-    overlap, by the dense n x m comparison the sweep replaced, with the same
-    margin rule: 1e-7 of the largest 3D coordinate of the two."""
-    margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
+    overlap, by the dense n x m comparison the sweep replaced, with the
+    given margin or, by default, the sweep's margin rule: 1e-7 of the
+    largest 3D coordinate of the two."""
+    if margin is None:
+        margin = 1e-7 * max(float(np.abs(pts1).max()), float(np.abs(pts2).max()))
     pts1, pts2 = _project(pts1, basis), _project(pts2, basis)
     ends1 = np.stack([pts1, np.roll(pts1, -1, axis=0)])
     ends2 = np.stack([pts2, np.roll(pts2, -1, axis=0)])

@@ -18,7 +18,7 @@ from haefliger.generator import (
     generator_double_point_curves,
     verify_generator,
 )
-from haefliger.linking import EZ, ProjectionAxis, linking_matrix, writhe_pl
+from haefliger.linking import EZ, PolyCurve, ProjectionAxis, linking_matrix, writhe_pl
 
 EX, EY = ProjectionAxis((1, 0, 0)), ProjectionAxis((0, 1, 0))
 
@@ -142,6 +142,32 @@ def test_curves_give_the_diagram_exactly_with_zero_writhes(rng, params, n):
                  for (i, j), v in lk.items() if v}
         assert built == expected, axis
         assert [writhe_pl(c.curve, axis) for c in labeled] == [0] * 12, axis
+
+
+@pytest.mark.parametrize("n", [4, 32, 64])
+@pytest.mark.parametrize(
+    "params", [DEFAULT_PARAMS, BorromeanParams(alpha=3, beta=1),
+               BorromeanParams(alpha=Fraction(7, 2), beta=Fraction(3, 4))],
+    ids=["default", "alpha 3", "alpha 7/2 beta 3/4"])
+def test_curves_placed_on_their_grid_equal_the_curves_built_from_their_points(params, n):
+    # The circles go onto their integer grid without the number rule; the
+    # constructor, reading the same int points, builds the same curves.
+    for labeled in generator_double_point_curves(params, n):
+        curve = labeled.curve
+        points = [tuple(int(x) for x in p) for p in curve.vertices]
+        built = PolyCurve(points)
+        assert (curve._scale, curve._grid) == (built._scale, built._grid) == (1, tuple(points))
+        assert curve == built and hash(curve) == hash(built)
+        assert curve.vertices == built.vertices
+        assert all(type(x) is int for p in curve._grid for x in p)
+
+
+def test_curves_beyond_the_float_range_are_refused():
+    # The largest coordinate, 18a + 2b + 1 in units of 1/s, is read by the
+    # number rule: alpha = 1e307 puts it past the largest float.
+    assert len(generator_double_point_curves(BorromeanParams(alpha=1e306, beta=1), 4)) == 12
+    with pytest.raises(ParseError, match="float range"):
+        generator_double_point_curves(BorromeanParams(alpha=1e307, beta=1), 4)
 
 
 def test_verify_generator_end_to_end():

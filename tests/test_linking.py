@@ -567,23 +567,24 @@ def test_curves_from_dict_rejects_non_numbers(bad):
 SWEEP_AXES = [EZ, ProjectionAxis((1, 0, 0)), ProjectionAxis((0.6, 0, 0.8))]
 
 
-def assert_sweep_covers_dense(arrays, basis):
-    """Every pair the dense box test keeps is in the sweep's output, which
-    holds only pairs a < b on distinct polylines (or, for one polyline,
-    non-identical segments of it)."""
+def assert_sweep_equals_dense(arrays, basis):
+    """The sweep keeps exactly the pairs the dense box test keeps under the
+    same margin, taken from the whole set: pairs a < b on distinct
+    polylines (or, for one polyline, non-identical segments of it), each
+    once."""
     start = np.cumsum([0] + [len(a) for a in arrays])
-    owner = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+    margin = 1e-7 * max(float(np.abs(a).max()) for a in arrays)
     swept = _box_pairs(arrays, basis)
     assert len(set(swept)) == len(swept)
-    assert all(a < b for a, b in swept)
     if len(arrays) > 1:
-        assert all(owner[a] != owner[b] for a, b in swept)
-        for k, m in combinations(range(len(arrays)), 2):
-            dense = dense_box_pairs(arrays[k], arrays[m], basis)
-            assert {(start[k] + i, start[m] + j) for i, j in dense} <= set(swept)
+        dense = {
+            (start[k] + i, start[m] + j)
+            for k, m in combinations(range(len(arrays)), 2)
+            for i, j in dense_box_pairs(arrays[k], arrays[m], basis, margin)
+        }
     else:
         dense = {(i, j) for i, j in dense_box_pairs(arrays[0], arrays[0], basis) if i < j}
-        assert dense <= set(swept)
+    assert set(swept) == dense
 
 
 def test_box_sweep_contains_dense_survivors_on_random_curves(rng):
@@ -593,9 +594,9 @@ def test_box_sweep_contains_dense_survivors_on_random_curves(rng):
             for _ in range(int(rng.integers(2, 5)))
         ]
         for axis in SWEEP_AXES:
-            assert_sweep_covers_dense(arrays, axis._basis)
+            assert_sweep_equals_dense(arrays, axis._basis)
             for a in arrays:
-                assert_sweep_covers_dense([a], axis._basis)
+                assert_sweep_equals_dense([a], axis._basis)
 
 
 def test_box_sweep_contains_dense_survivors_on_touching_axis_aligned_boxes():
@@ -609,15 +610,15 @@ def test_box_sweep_contains_dense_survivors_on_touching_axis_aligned_boxes():
     post = np.array([(1, 1, 0), (1, 1, 2), (3, 1, 2), (3, 1, 0)], float)
     arrays = [*squares, post]
     for axis in SWEEP_AXES:
-        assert_sweep_covers_dense(arrays, axis._basis)
-        assert_sweep_covers_dense([np.concatenate(squares)], axis._basis)
+        assert_sweep_equals_dense(arrays, axis._basis)
+        assert_sweep_equals_dense([np.concatenate(squares)], axis._basis)
     # Boxes exactly one margin apart: 1e-7 of the largest coordinate, 1.
     gap = [
         np.array([(-1, 0, 0), (0, 0, 0), (0, 1, 0)], float),
         np.array([(1e-7, 0, 0), (1, 0, 0), (1, 1, 0)], float),
     ]
     assert dense_box_pairs(*gap, EZ._basis)
-    assert_sweep_covers_dense(gap, EZ._basis)
+    assert_sweep_equals_dense(gap, EZ._basis)
 
 
 def test_box_sweep_margin_follows_the_3d_coordinates():
@@ -976,6 +977,38 @@ def test_translation_recanonicalises_the_scale():
     assert moved._scale == 1 and moved._grid == ((1, 2, 0), (3, 1, 1), (1, -3, 2))
     assert moved == PolyCurve([(1, 2, 0), (3, 1, 1), (1, -3, 2)])
     assert moved.translated((-0.5, -0.5, -0.5)) == halves
+
+
+def test_translation_reads_its_offset_and_its_result_by_the_number_rule():
+    halves = PolyCurve([(0.5, 1.5, -0.5), (2.5, 0.5, 0.5), (0.5, -3.5, 1.5)])
+    for offset in [(True, 0, 0), (0, Decimal("1e-400"), 0), (0, 0, "1"), (0, 0), None]:
+        with pytest.raises(ParseError, match="bad point"):
+            halves.translated(offset)
+    # A moved coordinate is refused as a built one would be: nonzero with a
+    # float of 0.0, or beyond the largest float.
+    thirds = PolyCurve([(Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)])
+    near = Fraction(1, 3 * 10**400) - Fraction(1, 3)
+    with pytest.raises(ParseError, match="float range"):
+        thirds.translated((near, 0, 0))
+    with pytest.raises(ParseError):
+        _through_fractions([(x + near, y, z) for x, y, z in thirds.vertices])
+    top = PolyCurve([(1e308, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ParseError, match="float range"):
+        top.translated((8e307, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [(), ((0, 0, 0),), ((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (1, 0, 0), (1, 0, 0)),
+     ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0))],
+    ids=["none", "one", "two", "neighbours coincide", "last meets first"],
+)
+def test_the_grid_constructor_refuses_as_the_constructor_does(grid):
+    with pytest.raises(ParseError) as built:
+        PolyCurve(list(grid))
+    with pytest.raises(ParseError) as placed:
+        PolyCurve._from_grid(1, grid)
+    assert str(placed.value) == str(built.value)
 
 
 def _numpy_circle(center, radius, normal, n, phase):
