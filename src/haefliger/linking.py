@@ -23,9 +23,13 @@ no coordinate read again.
 Every real input of the geometric layer, from a vertex coordinate to the
 generator's radii, is read by one rule, ``_ratio``; anything it refuses
 (a bool, a string, None, np.float32) raises ParseError, never coerced.
+So does a linking number or writhe asked of something other than a
+``PolyCurve``, or along something other than a ``ProjectionAxis``.
 
-The candidates come from one of two finders, which keep the same pairs
-that touch and so give the same results.  A call that compares at most
+Crossings are counted in one place, ``_crossing_sums``: the signed count
+of each pair of a curve set, or of one curve's own crossings.  Its
+candidates come from one of two finders, which keep the same pairs that
+touch and so give the same results.  A call that compares at most
 ``_DENSE_PAIRS`` = 1024 segment pairs (n*m for two curves, the sum of
 n_i*n_j over the pairs of a set, n(n-1)/2 for a writhe) compares every
 pair's integer projected boxes, in pure Python with no float and no
@@ -35,8 +39,10 @@ the dense comparison soon costs more than numpy's sweep.  A larger call
 uses floats only in a box prefilter, one numpy sort-and-sweep over the
 projections of every segment of the set.
 
-``writhe_pl`` counts a curve's own crossings with the same predicate along
-the same tilted axis, so no projection is refused anywhere.
+``writhe_pl`` is the one-curve count: the same finders and predicate along
+the same tilted axis, so no projection is refused anywhere, with the
+adjacent segment pairs left out.  Whether a curve folds back along an
+edge is a fact of the curve alone, decided on its first writhe and cached.
 
 numpy is imported only inside the four float functions: ``_array``,
 ``_box_pairs``, ``_resample`` and ``gauss_linking_quadrature``.  Building
@@ -77,9 +83,6 @@ _MEET = "curves meet in R^3; not a valid link"
 # The most segment pairs a call compares without numpy (see the module
 # docstring).
 _DENSE_PAIRS = 1024
-
-# PolyCurve reads an int below this in magnitude inline, others by _ratio.
-_BIG = 2**1023
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -122,12 +125,12 @@ class PolyCurve(Record):
     an int triple, so crossing predicates are error-free.  The grid is
     canonical, so equality and hashing run on it and agree with comparing
     the rational vertices.  Every coordinate given to the constructor is
-    read by ``_ratio``; a point of three floats, or of three ints well
-    inside the float range, is read inline, without a call per coordinate
-    (a grid the library made itself skips the reading: ``_from_grid``).
-    A bad point raises ParseError("[i]: bad point ..."), i its index.
-    ``vertices`` (as Fractions) and the float array are made on first use
-    and cached outside the fields.
+    read by ``_ratio``; a point of three floats is read inline, without a
+    call per coordinate (a grid the library made itself skips the reading:
+    ``_from_grid``).  A bad point raises ParseError("[i]: bad point ..."),
+    i its index.  ``vertices`` (as Fractions), the float array and whether
+    the curve folds back along an edge are decided on first use and cached
+    outside the fields.
     """
 
     _scale: int
@@ -144,9 +147,6 @@ class PolyCurve(Record):
                 if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
                     ratios += (x.as_integer_ratio(), y.as_integer_ratio(),
                                z.as_integer_ratio())
-                elif (type(x) is type(y) is type(z) is int
-                      and -_BIG < x < _BIG and -_BIG < y < _BIG and -_BIG < z < _BIG):
-                    ratios += ((x, 1), (y, 1), (z, 1))
                 else:
                     ratios += (_ratio(x), _ratio(y), _ratio(z))
         except (TypeError, ValueError, OverflowError, ParseError) as exc:  # no triple, a bad number
@@ -232,6 +232,17 @@ class PolyCurve(Record):
         floats = np.array([x / d for p in self._grid for x in p]).reshape(-1, 3)
         floats.flags.writeable = False
         return floats
+
+    @cached_property
+    def _folds_back(self) -> bool:
+        """Whether two adjacent edges overlap, the curve turning back along
+        an edge; a fact of the curve alone, so walked once."""
+        grid = self._grid
+        for p0, p1, p2 in zip(grid, grid[1:] + grid[:1], grid[2:] + grid[:2]):
+            d1, d2 = _sub(p1, p0), _sub(p2, p1)
+            if _cross(d1, d2) == (0, 0, 0) and _dot(d1, d2) < 0:
+                return True
+        return False
 
 
 class ProjectionAxis(Record):
@@ -451,19 +462,47 @@ def _touching_pairs(
     return pairs
 
 
-def _candidates(
-    curves: Sequence[PolyCurve], segs: Sequence[GridSegment], basis
-) -> list[tuple[int, int]]:
-    """The segment pairs for the crossing predicate: ``_touching_pairs``
-    for a call of at most ``_DENSE_PAIRS`` pairs, else ``_box_pairs``."""
+def _crossing_sums(
+    curves: Sequence[PolyCurve], axis: ProjectionAxis
+) -> dict[tuple[int, int], int]:
+    """The signed crossing count of every pair i < j of the curves along
+    ``axis``, keyed ``(i, j)``; given one curve, its own count, keyed
+    ``(0, 0)``.  The one place where crossings are counted.
+
+    The candidate pairs come from ``_touching_pairs`` for a call of at most
+    ``_DENSE_PAIRS`` segment pairs, else from ``_box_pairs``, and the exact
+    predicate decides each on the call's one grid.  One curve first refuses
+    to fold back along an edge, then drops its adjacent segment pairs,
+    which share a vertex, and a meeting pair raises "a curve meets itself
+    in R^3".  An axis that is not a ProjectionAxis, or a curve that is not
+    a PolyCurve, raises ParseError before anything is read.
+    """
+    if not isinstance(axis, ProjectionAxis):
+        raise ParseError(f"an axis must be a ProjectionAxis, not {axis!r}")
+    for curve in curves:
+        if not isinstance(curve, PolyCurve):
+            raise ParseError(f"a curve must be a PolyCurve, not {curve!r}")
     sizes = [len(c) for c in curves]
-    if len(sizes) == 1:
-        count = sizes[0] * (sizes[0] - 1) // 2
-    else:
-        count = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
+    if len(sizes) == 1 and curves[0]._folds_back:
+        raise CurvesIntersect("a curve folds back along an edge")
+    segs, basis = _on_one_grid(curves), axis._basis
+    # The sum of n_i*n_j over the pairs of a set, else n(n-1)/2 for one curve.
+    count = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2 or len(segs) * (len(segs) - 1) // 2
     if count <= _DENSE_PAIRS:
-        return _touching_pairs(segs, sizes, basis)
-    return _box_pairs([c.as_array() for c in curves], basis)
+        pairs = _touching_pairs(segs, sizes, basis)
+    else:
+        pairs = _box_pairs([c.as_array() for c in curves], basis)
+    if len(sizes) == 1:
+        pairs = [(a, b) for a, b in pairs if b - a not in (1, len(segs) - 1)]
+    owner = [k for k, n in enumerate(sizes) for _ in range(n)]
+    totals = dict.fromkeys(combinations(range(len(sizes)), 2), 0) or {(0, 0): 0}
+    try:
+        for a, b in pairs:
+            totals[owner[a], owner[b]] += _segment_crossings(
+                _scaled(segs[a]), _scaled(segs[b]), basis)
+    except CurvesIntersect:
+        raise CurvesIntersect(_MEET if len(sizes) > 1 else "a curve meets itself in R^3") from None
+    return totals
 
 
 def linking_matrix(
@@ -471,25 +510,19 @@ def linking_matrix(
 ) -> dict[tuple[int, int], int]:
     """Linking number of every pair i < j of the curves, keyed ``(i, j)``.
 
-    A linking number is half the signed crossing count of its pair.  The
-    projected boxes of all segments pick the segment pairs for the exact
-    crossing predicate, which runs on one integer grid for the set and
-    raises CurvesIntersect if any two curves meet: segments that meet in
-    R^3 meet in projection, the dense finder compares exact boxes, and the
-    sweep's margin, taken from the 3D coordinates, covers the float error
-    of projecting them, so no meeting pair escapes either finder.  Each
-    curve holds its integer grid from construction and converts it to
-    floats once, ever, the first time a call is large enough to sweep.
+    A linking number is half the signed crossing count of its pair, from
+    ``_crossing_sums``, which raises CurvesIntersect if any two curves
+    meet: segments that meet in R^3 meet in projection, the dense finder
+    compares exact boxes, and the sweep's margin, taken from the 3D
+    coordinates, covers the float error of projecting them, so no meeting
+    pair escapes either finder.  Each curve holds its integer grid from
+    construction and converts it to floats once, ever, the first time a
+    call is large enough to sweep.  An odd count is a defect of the
+    engine, not of the input, and raises HaefligerError.
     """
     if len(curves) < 2:
         return {}
-    segs = _on_one_grid(curves)
-    basis = axis._basis
-    owner = [k for k, c in enumerate(curves) for _ in range(len(c))]
-    totals = dict.fromkeys(combinations(range(len(curves)), 2), 0)
-    for a, b in _candidates(curves, segs, basis):
-        totals[owner[a], owner[b]] += _segment_crossings(
-            _scaled(segs[a]), _scaled(segs[b]), basis)
+    totals = _crossing_sums(curves, axis)
     if any(total % 2 for total in totals.values()):
         raise HaefligerError("odd signed crossing count of two closed curves")
     return {key: total // 2 for key, total in totals.items()}
@@ -501,30 +534,18 @@ def linking_number_pl(m: PolyCurve, n: PolyCurve, axis: ProjectionAxis = EZ) -> 
 
 
 def writhe_pl(curve: PolyCurve, axis: ProjectionAxis = EZ) -> int:
-    """Writhe: signed count of self-crossings of the projection.
+    """Writhe: signed count of self-crossings of the projection, the
+    one-curve case of ``_crossing_sums``.
 
     The paper-level half-sum over ordered pairs collapses to a plain sum
     over unordered crossings.  A writhe depends on the axis, so it is
     taken along ``axis`` tilted infinitesimally towards u, then v, of its
     plane basis (for EZ, towards -y first): a vertex over a non-adjacent
     edge gets the value of that tilt.  Non-adjacent edges that meet, and
-    adjacent edges that overlap (the curve folds back along an edge),
-    raise CurvesIntersect.
+    adjacent edges that overlap (the curve folds back along an edge, which
+    is decided once per curve), raise CurvesIntersect.
     """
-    basis = axis._basis
-    segs = _on_one_grid([curve])
-    for (p0, p1, _), (_, p2, _) in zip(segs, segs[1:] + segs[:1]):
-        d1, d2 = _sub(p1, p0), _sub(p2, p1)
-        if _cross(d1, d2) == (0, 0, 0) and _dot(d1, d2) < 0:
-            raise CurvesIntersect("a curve folds back along an edge")
-    total = 0
-    try:
-        for i, j in _candidates([curve], segs, basis):
-            if j - i not in (1, len(segs) - 1):  # adjacent segments share a vertex
-                total += _segment_crossings(_scaled(segs[i]), _scaled(segs[j]), basis)
-    except CurvesIntersect:
-        raise CurvesIntersect("a curve meets itself in R^3") from None
-    return total
+    return _crossing_sums([curve], axis)[0, 0]
 
 
 def _resample(verts: np.ndarray, subdivisions: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from decimal import Decimal
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haefliger import linking
+from haefliger.calculus import murai_ohba_certificate
 from haefliger.errors import CurvesIntersect, InvalidParams, ParseError
 from haefliger.generator import BorromeanParams
 from haefliger.linking import (
@@ -18,6 +21,7 @@ from haefliger.linking import (
     ProjectionAxis,
     _DENSE_PAIRS,
     _box_pairs,
+    _crossing_sums,
     _on_one_grid,
     _plane_basis,
     _segment_crossings,
@@ -402,6 +406,24 @@ def test_writhe_of_a_vertex_over_a_non_adjacent_edge_is_the_value_of_the_tilt():
 def test_writhe_refuses_a_curve_that_folds_back_along_an_edge(points):
     with pytest.raises(CurvesIntersect, match="folds back"):
         writhe_pl(PolyCurve(points))
+    # Folding back is a fact of the curve, walked on its first writhe and
+    # cached outside the fields: the same object refuses again, along
+    # another axis too, and so does a copy made by pickling.
+    curve = PolyCurve(points)
+    for copy in (curve, curve, pickle.loads(pickle.dumps(curve))):
+        for axis in (EZ, ProjectionAxis((0.6, 0, 0.8))):
+            with pytest.raises(CurvesIntersect, match="folds back"):
+                writhe_pl(copy, axis)
+        assert copy.__dict__["_folds_back"] is True
+        assert copy == PolyCurve(points) and hash(copy) == hash(PolyCurve(points))
+
+
+def test_only_a_writhe_walks_a_curve_for_folds():
+    m, n = hopf_link(16)
+    linking_number_pl(m, n)
+    assert "_folds_back" not in m.__dict__
+    assert writhe_pl(m) == 0
+    assert m.__dict__["_folds_back"] is False
 
 
 def test_writhe_refuses_a_curve_with_a_vertex_on_a_non_adjacent_edge():
@@ -419,6 +441,32 @@ def test_writhe_refuses_a_curve_that_meets_itself_in_a_vertical_plane():
     bowtie = PolyCurve([(0, 0, 0), (2, 0, 2), (2, 0, 0), (0, 0, 2)])
     with pytest.raises(CurvesIntersect, match="a curve meets itself"):
         writhe_pl(bowtie)
+
+
+_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda m, n: linking_number_pl(m, n, (0, 0, 1)), "ProjectionAxis"),
+        (lambda m, n: writhe_pl(m, (0, 0, 1)), "ProjectionAxis"),
+        (lambda m, n: linking_matrix([m, n], None), "ProjectionAxis"),
+        (lambda m, n: murai_ohba_certificate(m, n, (0, 0, 1)), "ProjectionAxis"),
+        (lambda m, n: linking_number_pl(m, _POINTS), "PolyCurve"),
+        (lambda m, n: linking_matrix([_POINTS, n]), "PolyCurve"),
+        (lambda m, n: writhe_pl(_POINTS), "PolyCurve"),
+        # A folding list of points is refused as a list, not walked.
+        (lambda m, n: writhe_pl([(0, 0, 0), (2, 0, 0), (1, 0, 0)]), "PolyCurve"),
+        (lambda m, n: murai_ohba_certificate(m, tuple(_POINTS), None), "PolyCurve"),
+    ],
+    ids=["lk axis", "writhe axis", "matrix axis", "certificate axis", "lk curve",
+         "matrix curve", "writhe curve", "folding writhe curve", "certificate curve"],
+)
+def test_a_bad_axis_or_curve_raises_parse_error(call, match):
+    m, n = hopf_link(8)
+    with pytest.raises(ParseError, match=match):
+        call(m, n)
 
 
 def test_writhe_of_planar_convex_polygon():
@@ -726,6 +774,40 @@ def test_subdividing_past_the_dense_bound_keeps_lk_and_writhe():
         [fine] = finer_than_the_bound([knot])
         for axis in SWEEP_AXES:
             assert outcome(writhe_pl, fine, axis) == outcome(writhe_pl, knot, axis)
+
+
+def test_both_finders_give_the_same_crossing_sums(monkeypatch):
+    # The count forced onto the dense finder, then onto the sweep: each
+    # sum and each refusal, with its message, agrees, for sets and for
+    # single curves with their adjacent pairs left out, and the sums are
+    # the writhe and the doubled linking numbers.
+    gen = random.Random(27)
+    cases = [[lattice_polygon(gen) for _ in range(gen.randint(1, 4))] for _ in range(80)]
+    cases += [[trefoil_curve(30)], list(hopf_link(12)),
+              [PolyCurve([(0, 0, 0), (2, 0, 0), (1, 0, 0)])]]
+
+    def sums(curves, axis, bound):
+        monkeypatch.setattr(linking, "_DENSE_PAIRS", bound)
+        try:
+            return _crossing_sums(curves, axis)
+        except CurvesIntersect as exc:
+            return str(exc)
+
+    seen = set()
+    for curves in cases:
+        for axis in SWEEP_AXES:
+            dense = sums(curves, axis, 10**9)
+            assert sums(curves, axis, 0) == dense
+            if isinstance(dense, str):
+                seen.add(dense)
+            elif len(curves) == 1:
+                seen.add("writhe")
+                assert dense == {(0, 0): writhe_pl(curves[0], axis)}
+            else:
+                seen.add("lk")
+                assert dense == {k: 2 * v for k, v in linking_matrix(curves, axis).items()}
+    assert seen == {"writhe", "lk", "a curve folds back along an edge",
+                    "a curve meets itself in R^3", "curves meet in R^3; not a valid link"}
 
 
 def test_curves_that_meet_are_refused_at_the_dense_bound():

@@ -227,3 +227,34 @@ def test_pairing_name_rule_sees_every_use():
     )
     assert pairing_names_in_oracle(source) == [
         "a:v2", "b:switch", "c:descending_set", "c:_interleaved", "c:x_pairing"]
+
+
+def call_sites(source: str, name: str) -> list[int]:
+    """Lines that call ``name``, as a bare name or as an attribute, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
+    )
+
+
+def test_crossings_are_counted_in_one_place():
+    # Linking numbers and writhes share one loop over the candidate pairs,
+    # so the exact crossing predicate has a single caller.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in call_sites(path.read_text(), "_segment_crossings")
+    ]
+    assert len(found) == 1, found
+
+
+def test_call_site_rule_sees_every_call():
+    source = (
+        "def a(s):\n    return _segment_crossings(s, s, b)\n"
+        "class C:\n    def m(self):\n        return [linking._segment_crossings(x) for x in y]\n"
+        "f = lambda: _segment_crossings()\n"
+        "g = _segment_crossings\n"
+    )
+    assert call_sites(source, "_segment_crossings") == [2, 5, 6]
